@@ -226,7 +226,7 @@ def scenario_text(s: Scenario) -> str:
 def builtin_scenario(name: str, case: str, users: int, cfg: SolverConfig | None = None) -> Scenario:
     text = f"SCENARIO {name}\nCASE {case}\nUSERS {users}\n"
     scen = parse_scenario(text)
-    return replace(scen, config=cfg or SolverConfig()) if cfg else scen
+    return replace(scen, config=cfg) if cfg else scen
 
 
 def _run_algorithm(inst: Instance, algorithm: str, cfg: SolverConfig, min_share: bool):
@@ -237,16 +237,14 @@ def _run_algorithm(inst: Instance, algorithm: str, cfg: SolverConfig, min_share:
         return ptf(inst, min_share=min_share), ()
     if algorithm == "pronto":
         return pronto(inst), ()
-    if algorithm == "bcd":
+    if algorithm in ("bcd", "oracle2x2"):
         sched, trace = bcd(inst, sg_tdma(inst), cfg)
         sorted_sched, _, causal = sort_schedule_nondecreasing(inst, sched)
-        return (sorted_sched if causal else sched), trace.warnings
-    if algorithm == "oracle2x2":
-        sched, trace = bcd(inst, sg_tdma(inst), cfg)
-        sorted_sched, _, causal = sort_schedule_nondecreasing(inst, sched)
-        powers = (sorted_sched if causal else sched).powers_p
-        case = optimal_2x2(inst, powers)
-        return Schedule(powers, case.tau_star), trace.warnings
+        if causal:
+            sched = sorted_sched
+        if algorithm == "oracle2x2":  # bcd's powers, closed-form shares
+            sched = Schedule(sched.powers_p, optimal_2x2(inst, sched.powers_p).tau_star)
+        return sched, trace.warnings
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -436,8 +434,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-rounds", type=int, default=SolverConfig.max_bcd_rounds)
     p.add_argument("--min-share", action="store_true",
                    help="grant starved users the minimum share after PTF")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved; all algorithms are deterministic")
 
 
 def _config_from(args) -> SolverConfig:

@@ -2,12 +2,12 @@
 
 With shares fixed, the power problem maximizes the log-sum utility under
 cumulative energy budgets; with powers fixed, the time problem maximizes it
-over per-slot share simplices.  Both are solved by a damped Newton method on
-a shrinking log-barrier.  The solver is deliberately decoupled from its
-certificate: every solution is checked through explicit KKT residuals, with
-multipliers either taken from the barrier or rebuilt from the candidate
-point alone, so any ascent scheme could be swapped in behind the same
-contract.
+over per-slot share simplices.  Both are solved by one damped Newton method
+on a shrinking log-barrier, each block supplying its merit, gradient and
+Newton step.  The solver is deliberately decoupled from its certificate:
+every solution is checked through explicit KKT residuals whose multipliers
+are rebuilt from the candidate point alone, so any ascent scheme could be
+swapped in behind the same contract.
 
 The alternating driver runs the time block first, then the power block, and
 never accepts a half-step that lowers utility, so traces are monotone by
@@ -33,6 +33,7 @@ from .model import (
 from .structure import virtual_harvests
 
 _ARMIJO = 1e-4
+_STEP_SHRINK = 0.5
 _BOUNDARY_FRAC = 0.995
 _MAX_NEWTON_PER_STAGE = 100
 
@@ -64,15 +65,12 @@ class SolverConfig:
     tol_utility: float = 1e-8
     max_inner_iters: int = 10_000
     max_bcd_rounds: int = 200
-    step_shrink: float = 0.5
 
     def __post_init__(self):
         if not (self.tol_kkt > 0 and self.tol_utility > 0):
             raise ValueError("tolerances must be positive")
         if not (self.max_inner_iters > 0 and self.max_bcd_rounds > 0):
             raise ValueError("iteration limits must be positive")
-        if not (0.0 < self.step_shrink < 1.0):
-            raise ValueError("step_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +153,66 @@ def _validate_powers(inst: Instance, p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _step_to_boundary(*limits) -> float:
+    """Fraction-to-the-boundary step length for ``(slack, rate)`` pairs.
+
+    Each slack falls at its rate along the step, so only positive rates
+    bound the step; the result stops short of the first slack to reach zero.
+    """
+    alpha = 1.0
+    for slack, rate in limits:
+        hit = rate > 0
+        if np.any(hit):
+            alpha = min(alpha, _BOUNDARY_FRAC * float((slack[hit] / rate[hit]).min()))
+    return alpha
+
+
+def _barrier_newton(x, cfg: SolverConfig, derivs, merit, block: str):
+    """Maximize a concave block by damped Newton on a shrinking log-barrier.
+
+    ``merit(x, sigma)`` is the barrier objective (``-inf`` outside the
+    interior).  ``derivs(x, sigma)`` returns ``(residual, direction)``: the
+    stationarity residual at ``x`` and a callable giving the Newton step, its
+    largest interior step length and the merit slope along it.  The barrier
+    weight falls tenfold per stage until ``tol_kkt * ln2 / 100``; raises
+    :class:`NonconvergenceError` naming ``block`` once ``max_inner_iters``
+    Newton steps are spent.
+    """
+    sigma = 1.0
+    sigma_final = cfg.tol_kkt * LN2 / 100.0
+    res_final = cfg.tol_kkt * LN2 * 1e-3
+    iters = 0
+    while True:
+        res_tol = res_final if sigma <= sigma_final else max(res_final, sigma * 1e-2)
+        base = merit(x, sigma)  # carried forward from each accepted step
+        for _ in range(_MAX_NEWTON_PER_STAGE):
+            residual, direction = derivs(x, sigma)
+            if residual <= res_tol:
+                break
+            iters += 1
+            if iters > cfg.max_inner_iters:
+                raise NonconvergenceError(
+                    f"{block} block exceeded the inner iteration budget",
+                    best=x,
+                    residual=float(residual),
+                )
+            d, alpha, slope = direction()
+            # near convergence the merit change drops below evaluation noise,
+            # so a step is also accepted when it does not measurably decrease
+            # the merit
+            noise = 1e-11 * (1.0 + abs(base))
+            while alpha > 1e-16:
+                cand = x + alpha * d
+                val = merit(cand, sigma)
+                if val >= base + _ARMIJO * alpha * slope or val >= base - noise:
+                    x, base = cand, val
+                    break
+                alpha *= _STEP_SHRINK
+        if sigma <= sigma_final:
+            return x
+        sigma = max(sigma * 0.1, sigma_final)
+
+
 # ---------------------------------------------------------------------------
 # time block: fixed powers, optimize shares over per-slot simplices
 
@@ -182,32 +240,27 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initia
             if np.all(blended > 0):
                 tau = blended
 
-    sigma = 1.0
-    sigma_final = cfg.tol_kkt * LN2 / 100.0
-    res_final = cfg.tol_kkt * LN2 * 1e-3
-    iters = 0
-    while True:
-        res_tol = res_final if sigma <= sigma_final else max(res_final, sigma * 1e-2)
-        for _ in range(_MAX_NEWTON_PER_STAGE):
-            A = _bits_per_user(rates, tau)
-            s = tau.sum(axis=1)
-            grad = rates / A[:, None] + sigma / tau + (sigma / (s - eps))[:, None]
-            slot_price = grad.mean(axis=0)
-            if np.abs(grad - slot_price[None, :]).max() <= res_tol:
-                break
-            iters += 1
-            if iters > cfg.max_inner_iters:
-                raise NonconvergenceError(
-                    "time block exceeded the inner iteration budget",
-                    best=tau,
-                    residual=float(np.abs(grad - slot_price[None, :]).max()),
-                )
-            d = _newton_step_time(rates, tau, A, s, grad, sigma, eps, N, K)
-            tau = _line_search_time(rates, tau, d, grad, sigma, eps, T, cfg.step_shrink)
-        if sigma <= sigma_final:
-            break
-        sigma = max(sigma * 0.1, sigma_final)
+    def merit(x, sigma):
+        bits = _bits_per_user(rates, x)
+        s = x.sum(axis=1)
+        if np.any(bits <= 0) or np.any(x <= 0) or np.any(s <= eps):
+            return -math.inf
+        return float(np.log(bits).sum() + sigma * np.log(x).sum() + sigma * np.log(s - eps).sum())
 
+    def derivs(x, sigma):
+        A = _bits_per_user(rates, x)
+        s = x.sum(axis=1)
+        grad = rates / A[:, None] + sigma / x + (sigma / (s - eps))[:, None]
+        slot_price = grad.mean(axis=0)
+
+        def direction():
+            d = _newton_step_time(rates, x, A, s, grad, sigma, eps, N, K)
+            alpha = _step_to_boundary((x, -d), (s - eps, -d.sum(axis=1)))
+            return d, alpha, float((grad * d).sum())
+
+        return np.abs(grad - slot_price[None, :]).max(), direction
+
+    tau = _barrier_newton(tau, cfg, derivs, merit, "time")
     tau = tau * (T / tau.sum(axis=0, keepdims=True))  # exact slot sums
     # certify through the reconstruction path: it rebuilds multipliers from
     # the point alone, which stays accurate even when binding constraints
@@ -236,45 +289,14 @@ def _newton_step_time(rates, tau, A, s, grad, sigma, eps, N, K):
     return sol[:nk].reshape(N, K)
 
 
-def _line_search_time(rates, tau, d, grad, sigma, eps, T, shrink):
-    def phi(x):
-        bits = _bits_per_user(rates, x)
-        s = x.sum(axis=1)
-        if np.any(bits <= 0) or np.any(x <= 0) or np.any(s <= eps):
-            return -math.inf
-        return float(np.log(bits).sum() + sigma * np.log(x).sum() + sigma * np.log(s - eps).sum())
-
-    alpha = 1.0
-    neg = d < 0
-    if np.any(neg):
-        alpha = min(alpha, _BOUNDARY_FRAC * float((-tau[neg] / d[neg]).min()))
-    ds = d.sum(axis=1)
-    shrinking = ds < 0
-    if np.any(shrinking):
-        alpha = min(alpha, _BOUNDARY_FRAC * float(((eps - tau.sum(axis=1))[shrinking] / ds[shrinking]).min()))
-    base = phi(tau)
-    slope = float((grad * d).sum())
-    # near convergence the merit change drops below evaluation noise, so a
-    # step is also accepted when it does not measurably decrease the merit
-    noise = 1e-11 * (1.0 + abs(base))
-    while alpha > 1e-16:
-        cand = tau + alpha * d
-        val = phi(cand)
-        if val >= base + _ARMIJO * alpha * slope or val >= base - noise:
-            return cand
-        alpha *= shrink
-    return tau
-
-
-def kkt_residual_time(inst: Instance, powers_p, shares_tau, multipliers: dict | None = None) -> KktResidual:
+def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
     """KKT residuals of a time allocation for fixed powers.
 
-    Without supplied multipliers, the tightest dual-feasible ones are
-    reconstructed from the point itself: each slot's price is the best
-    marginal value among its users and every share's nonnegativity
-    multiplier absorbs its gap to that price.  Stationarity is then exact by
-    construction, so non-optimality surfaces as complementarity (a user
-    holding time in a slot it does not price).
+    The tightest dual-feasible multipliers are reconstructed from the point
+    itself: each slot's price is the best marginal value among its users and
+    every share's nonnegativity multiplier absorbs its gap to that price.
+    Stationarity is then exact by construction, so non-optimality surfaces
+    as complementarity (a user holding time in a slot it does not price).
     """
     p = np.maximum(np.asarray(powers_p, dtype=float), 0.0)
     tau = np.asarray(shares_tau, dtype=float)
@@ -291,15 +313,9 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau, multipliers: dict | 
     values = rates / (A[:, None] * LN2)
     row = tau.sum(axis=1)
 
-    if multipliers is None:
-        lam = values.max(axis=0)
-        mu = lam[None, :] - values
-        mu_eps = np.zeros(inst.n_users)
-        multipliers = {"lambda": lam, "mu": mu, "mu_eps": mu_eps}
-    lam = np.asarray(multipliers["lambda"], dtype=float)
-    mu = np.asarray(multipliers["mu"], dtype=float)
-    mu_eps = np.asarray(multipliers.get("mu_eps", np.zeros(inst.n_users)), dtype=float)
-
+    lam = values.max(axis=0)
+    mu = lam[None, :] - values
+    mu_eps = np.zeros(inst.n_users)
     stationarity = np.abs(values + mu + mu_eps[:, None] - lam[None, :]).max()
     complementarity = max(
         float(np.abs(mu * tau).max()),
@@ -314,7 +330,7 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau, multipliers: dict | 
         stationarity_max=float(stationarity),
         complementarity_max=float(complementarity),
         primal_violation_max=float(primal),
-        multipliers=multipliers,
+        multipliers={"lambda": lam, "mu": mu, "mu_eps": mu_eps},
     )
 
 
@@ -366,7 +382,7 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
         slack = C_f - T * np.cumsum(p)
         return A, slack
 
-    def phi(p):
+    def merit(p, sigma):
         if np.any(p <= 0):
             return -math.inf
         A, slack = parts(p)
@@ -374,79 +390,52 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
             return -math.inf
         return float(np.log(A).sum() + sigma * np.log(p).sum() + sigma * np.log(slack).sum())
 
-    sigma = 1.0
-    sigma_final = cfg.tol_kkt * LN2 / 100.0
-    res_final = cfg.tol_kkt * LN2 * 1e-3
-    iters = 0
     m = K - t0
     idx = np.arange(m)
     pair_max = np.maximum.outer(idx, idx)
-    while True:
-        res_tol = res_final if sigma <= sigma_final else max(res_final, sigma * 1e-2)
-        for _ in range(_MAX_NEWTON_PER_STAGE):
-            A, slack = parts(p_free)
-            denom = 1.0 + np.outer(L, p_free)
-            a = tau_f * (W / LN2) * L[:, None] / denom
-            inv_slack = 1.0 / slack
-            suffix = np.cumsum(inv_slack[::-1])[::-1]
-            grad = (a / A[:, None]).sum(axis=0) + sigma / p_free - sigma * T * suffix
-            if np.abs(grad).max() <= res_tol:
-                break
-            iters += 1
-            if iters > cfg.max_inner_iters:
-                p_full = np.zeros(K)
-                p_full[free] = p_free
-                raise NonconvergenceError(
-                    "power block exceeded the inner iteration budget",
-                    best=p_full,
-                    residual=float(np.abs(grad).max()),
-                )
-            M = a / A[:, None]
+
+    def derivs(p, sigma):
+        A, slack = parts(p)
+        denom = 1.0 + np.outer(L, p)
+        a = tau_f * (W / LN2) * L[:, None] / denom
+        M = a / A[:, None]
+        inv_slack = 1.0 / slack
+        suffix = np.cumsum(inv_slack[::-1])[::-1]
+        grad = M.sum(axis=0) + sigma / p - sigma * T * suffix
+
+        def direction():
             H = -(M.T @ M)
             b = a * L[:, None] / denom
-            H[np.diag_indices(m)] -= (b / A[:, None]).sum(axis=0) + sigma / p_free**2
+            H[np.diag_indices(m)] -= (b / A[:, None]).sum(axis=0) + sigma / p**2
             suffix_sq = np.cumsum((inv_slack**2)[::-1])[::-1]
             H -= sigma * T * T * suffix_sq[pair_max]
             d = np.linalg.solve(H, -grad)
-            alpha = 1.0
-            neg = d < 0
-            if np.any(neg):
-                alpha = min(alpha, _BOUNDARY_FRAC * float((-p_free[neg] / d[neg]).min()))
-            dspend = T * np.cumsum(d)
-            grow = dspend > 0
-            if np.any(grow):
-                alpha = min(alpha, _BOUNDARY_FRAC * float((slack[grow] / dspend[grow]).min()))
-            base = phi(p_free)
-            slope = float(grad @ d)
-            noise = 1e-11 * (1.0 + abs(base))  # merit noise floor, as in the time block
-            while alpha > 1e-16:
-                cand = p_free + alpha * d
-                val = phi(cand)
-                if val >= base + _ARMIJO * alpha * slope or val >= base - noise:
-                    p_free = cand
-                    break
-                alpha *= cfg.step_shrink
-        if sigma <= sigma_final:
-            break
-        sigma = max(sigma * 0.1, sigma_final)
+            alpha = _step_to_boundary((p, -d), (slack, T * np.cumsum(d)))
+            return d, alpha, float(grad @ d)
 
-    p_full = np.zeros(K)
-    p_full[free] = p_free
+        return np.abs(grad).max(), direction
+
+    pinned = np.zeros(t0)
+    try:
+        p_full = np.concatenate([pinned, _barrier_newton(p_free, cfg, derivs, merit, "power")])
+    except NonconvergenceError as err:
+        err.best = np.concatenate([pinned, err.best])
+        raise
     # reconstruction-path certificate, for the same reason as in solve_time
     return p_full, kkt_residual_power(inst, tau, p_full)
 
 
-def kkt_residual_power(inst: Instance, shares_tau, powers_p, multipliers: dict | None = None) -> KktResidual:
+def kkt_residual_power(inst: Instance, shares_tau, powers_p) -> KktResidual:
     """KKT residuals of a power vector for fixed shares.
 
     Stationarity couples each slot to the multipliers of every later
     cumulative budget, so the budget prices seen from slot t form a suffix
-    sum that can only fall over time.  Without supplied multipliers the
-    smallest dual-feasible prices are rebuilt backward from the last slot
-    (each budget's multiplier is the rise its suffix price needs) and each
-    slot's nonnegativity multiplier absorbs any remaining gap.  Stationarity
-    is then exact and non-optimality surfaces as complementarity: positive
-    prices on slack budgets or positive gaps on powered slots.
+    sum that can only fall over time.  The smallest dual-feasible prices are
+    rebuilt backward from the last slot (each budget's multiplier is the rise
+    its suffix price needs) and each slot's nonnegativity multiplier absorbs
+    any remaining gap.  Stationarity is then exact and non-optimality
+    surfaces as complementarity: positive prices on slack budgets or positive
+    gaps on powered slots.
     """
     tau = np.asarray(shares_tau, dtype=float)
     p = np.asarray(powers_p, dtype=float)
@@ -463,29 +452,21 @@ def kkt_residual_power(inst: Instance, shares_tau, powers_p, multipliers: dict |
     slack = C - spent
     K = inst.n_slots
 
-    if multipliers is None:
-        suffix = np.zeros(K)  # price of energy as seen from slot t onward
-        run = 0.0
-        for t in range(K - 1, -1, -1):
-            run = max(run, grad[t] / T)
-            suffix[t] = run
-        lam = suffix - np.append(suffix[1:], 0.0)
-        mu = T * suffix - grad
-        multipliers = {"lambda": lam, "mu": mu}
-        stationarity = 0.0
-    else:
-        lam = np.asarray(multipliers["lambda"], dtype=float)
-        mu = np.asarray(multipliers["mu"], dtype=float)
-        suffix = np.cumsum(lam[::-1])[::-1]
-        stationarity = float(np.abs(grad + mu - T * suffix).max())
+    suffix = np.zeros(K)  # price of energy as seen from slot t onward
+    run = 0.0
+    for t in range(K - 1, -1, -1):
+        run = max(run, grad[t] / T)
+        suffix[t] = run
+    lam = suffix - np.append(suffix[1:], 0.0)
+    mu = T * suffix - grad
 
     complementarity = max(float(np.abs(mu * p).max()), float(np.abs(lam * slack).max()))
     primal = max(float(max(0.0, -p.min())), float(max(0.0, (spent - C).max())))
     return KktResidual(
-        stationarity_max=stationarity,
+        stationarity_max=0.0,  # exact by construction
         complementarity_max=complementarity,
         primal_violation_max=float(primal),
-        multipliers=multipliers,
+        multipliers={"lambda": lam, "mu": mu},
     )
 
 

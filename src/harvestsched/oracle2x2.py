@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2, Instance, rate_matrix
+from .convex import kkt_residual_time
+from .model import Instance, rate_matrix
 
 _EQ_REL = 1e-12
 
@@ -36,10 +37,6 @@ class TwoByTwoCase:
     alternates: tuple = ()
 
 
-class InfeasibleShareError(ValueError):
-    """Raised when a time allocation breaks the primal constraints."""
-
-
 def _rel_cmp(a: float, b: float) -> int:
     """-1, 0, +1 comparison with relative tolerance for equality."""
     if abs(a - b) <= _EQ_REL * max(abs(a), abs(b)):
@@ -47,7 +44,7 @@ def _rel_cmp(a: float, b: float) -> int:
     return -1 if a < b else 1
 
 
-def _tau(t11, t21, t12, t22, T) -> np.ndarray:
+def _tau(t11, t21, t12, t22) -> np.ndarray:
     arr = np.array([[t11, t12], [t21, t22]], dtype=float)
     arr.setflags(write=False)
     return arr
@@ -73,39 +70,32 @@ def optimal_2x2(inst: Instance, powers) -> TwoByTwoCase:
 
     if pc < 0:
         if gc < 0:
-            tau = _tau(T, 0.0, T / 2 * (1 - 1 / g1), T / 2 * (1 + 1 / g1), T)
+            tau = _tau(T, 0.0, T / 2 * (1 - 1 / g1), T / 2 * (1 + 1 / g1))
             util = math.log2(r22 / r12 * (r11 + r12) ** 2) + 2 * math.log2(T / 2)
         elif gc > 0:
-            tau = _tau(0.0, T, T / 2 * (1 + 1 / g2), T / 2 * (1 - 1 / g2), T)
+            tau = _tau(0.0, T, T / 2 * (1 + 1 / g2), T / 2 * (1 - 1 / g2))
             util = math.log2(r12 / r22 * (r21 + r22) ** 2) + 2 * math.log2(T / 2)
         else:
-            tau = _tau(T, 0.0, T / 2 * (1 - 1 / g1), T / 2 * (1 + 1 / g1), T)
-            alternates = (_tau(0.0, T, T / 2 * (1 + 1 / g2), T / 2 * (1 - 1 / g2), T),)
+            tau = _tau(T, 0.0, T / 2 * (1 - 1 / g1), T / 2 * (1 + 1 / g1))
+            alternates = (_tau(0.0, T, T / 2 * (1 + 1 / g2), T / 2 * (1 - 1 / g2)),)
             util = math.log2((r11 + r12) * (r21 + r22)) + 2 * math.log2(T / 2)
     elif pc > 0:
         if gc < 0:
-            tau = _tau(T / 2 * (1 + g2), T / 2 * (1 - g2), 0.0, T, T)
+            tau = _tau(T / 2 * (1 + g2), T / 2 * (1 - g2), 0.0, T)
             util = math.log2(r11 / r21 * (r21 + r22) ** 2) + 2 * math.log2(T / 2)
         elif gc > 0:
-            tau = _tau(T / 2 * (1 - g1), T / 2 * (1 + g1), T, 0.0, T)
+            tau = _tau(T / 2 * (1 - g1), T / 2 * (1 + g1), T, 0.0)
             util = math.log2(r21 / r11 * (r11 + r12) ** 2) + 2 * math.log2(T / 2)
         else:
-            tau = _tau(T / 2 * (1 - g2), T / 2 * (1 + g2), T, 0.0, T)
-            alternates = (_tau(T / 2 * (1 + g1), T / 2 * (1 - g1), 0.0, T, T),)
+            tau = _tau(T / 2 * (1 - g2), T / 2 * (1 + g2), T, 0.0)
+            alternates = (_tau(T / 2 * (1 + g1), T / 2 * (1 - g1), 0.0, T),)
             util = math.log2((r11 + r12) * (r21 + r22)) + 2 * math.log2(T / 2)
     else:
-        # equal powers force gamma1 = gamma2 = 1 on real instances; the
-        # unequal-gamma splits are kept for completeness of the case table
-        if gc < 0:
-            tau = _tau(T, 0.0, 0.0, T, T)
-            util = math.log2(r11 * r22) + 2 * math.log2(T)
-        elif gc > 0:
-            tau = _tau(0.0, T, T, 0.0, T)
-            util = math.log2(r12 * r21) + 2 * math.log2(T)
-        else:
-            tau = _tau(T, 0.0, 0.0, T, T)
-            alternates = (_tau(0.0, T, T, 0.0, T),)
-            util = math.log2(r11 * r22) + 2 * math.log2(T)
+        # powers equal within _EQ_REL give gammas equal within _EQ_REL, so
+        # the equal-gamma split is the only one this case needs
+        tau = _tau(T, 0.0, 0.0, T)
+        alternates = (_tau(0.0, T, T, 0.0),)
+        util = math.log2(r11 * r22) + 2 * math.log2(T)
 
     return TwoByTwoCase(
         power_relation=rel,
@@ -120,36 +110,25 @@ def optimal_2x2(inst: Instance, powers) -> TwoByTwoCase:
 def kkt_check_2x2(inst: Instance, powers, shares_tau, tol: float = 1e-6):
     """Certify a 2x2 time allocation against the first-order optimality system.
 
-    Multipliers are reconstructed from the candidate point: the slot price is
-    the best bits-per-second-of-share ratio among its users, and each share's
-    nonnegativity multiplier absorbs the gap to that price.  Returns
-    ``(ok, detail)`` where ``detail`` maps each condition to its worst
-    violation: stationarity, dual and primal feasibility, complementary
-    slackness, and the reduced two-equation system for user 1's shares.
+    Multipliers come from :func:`kkt_residual_time`, which rebuilds them from
+    the candidate point.  Returns ``(ok, detail)`` where ``detail`` maps each
+    condition to its worst violation: stationarity, dual and primal
+    feasibility, complementary slackness, and the reduced two-equation system
+    for user 1's shares.  Infeasible shares raise
+    :class:`InfeasiblePointError`, zero bits :class:`DegenerateShareError`.
     """
     if inst.n_users != 2 or inst.n_slots != 2:
         raise ValueError(f"needs exactly 2 users and 2 slots, got {inst.n_users}x{inst.n_slots}")
-    p = np.asarray(powers, dtype=float)
     tau = np.asarray(shares_tau, dtype=float)
     if tau.shape != (2, 2):
         raise ValueError(f"expected a 2x2 share matrix, got shape {tau.shape}")
     T, eps = inst.slot_length_t, inst.epsilon_share
-    loose = 1e-6 * T
-    if np.any(tau < -loose) or np.any(np.abs(tau.sum(axis=0) - T) > loose):
-        raise InfeasibleShareError("share matrix violates the primal constraints")
-    R = rate_matrix(inst, p).rates_r
-    A = (tau * R).sum(axis=1)
-    if np.any(A <= 0):
-        raise InfeasibleShareError("a user receives zero bits; optimality ratios are undefined")
-
-    values = R / (A[:, None] * LN2)  # marginal utility of one second in each slot
-    lam = values.max(axis=0)
-    mu = lam[None, :] - values  # nonnegativity multipliers, zero at each slot's best user
-    mu_eps = np.zeros(2)
+    res = kkt_residual_time(inst, powers, tau)
+    mu, mu_eps = res.multipliers["mu"], res.multipliers["mu_eps"]
     row = tau.sum(axis=1)
 
     detail = {
-        "stationarity": float(np.abs(values + mu + mu_eps[:, None] - lam[None, :]).max()),
+        "stationarity": res.stationarity_max,
         "dual_nonneg": float(max(0.0, -mu.min())),
         "share_nonneg": float(max(0.0, -tau.min())),
         "min_share": float(max(0.0, (eps - row).max())),
@@ -157,11 +136,10 @@ def kkt_check_2x2(inst: Instance, powers, shares_tau, tol: float = 1e-6):
         "comp_share": float(np.abs(mu * tau).max()),
         "comp_min_share": float(np.abs(mu_eps * (row - eps)).max()),
         # reduced system over user 1's shares: either user 1 owns the whole
-        # slot or the price gap (absorbed by mu) vanishes
+        # slot or the price gap vanishes; values[0] - values[1] + mu[0] is
+        # mu[1], since each mu absorbs its user's gap to the slot price
         "reduced_comp_owner": float(np.abs(mu[0] * tau[0]).max()),
-        "reduced_balance": float(
-            np.abs((values[0] - values[1] + mu[0]) * (T - tau[0])).max()
-        ),
+        "reduced_balance": float(np.abs(mu[1] * (T - tau[0])).max()),
     }
     ok = all(v <= tol for v in detail.values())
     return ok, detail

@@ -255,7 +255,7 @@ class TestMain:
         code = main(
             ["run", "--scenario", "bursty", "--users", "2", "--alg", "bcd",
              "--tol-kkt", "1e-5", "--tol-utility", "1e-6", "--max-rounds", "50",
-             "--seed", "7", "--out", "csv"]
+             "--out", "csv"]
         )
         capsys.readouterr()
         assert code == 0

@@ -42,8 +42,6 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(tol_kkt=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(step_shrink=1.0)
-        with pytest.raises(ValueError):
             SolverConfig(max_bcd_rounds=0)
 
 
@@ -257,12 +255,24 @@ class TestBcd:
 
 
 class TestNonconvergence:
-    def test_error_carries_best_iterate(self, row1_instance):
+    @pytest.mark.parametrize("block", ["time", "power"])
+    def test_error_carries_best_iterate(self, row1_instance, block):
         starved = SolverConfig(max_inner_iters=3)
-        with pytest.raises(NonconvergenceError) as exc:
-            solve_time(row1_instance, [0.05, 5.0], starved)
-        assert exc.value.best is not None
-        assert exc.value.best.shape == (2, 2)
+        if block == "time":
+            with pytest.raises(NonconvergenceError) as exc:
+                solve_time(row1_instance, [0.05, 5.0], starved)
+            assert exc.value.best.shape == (2, 2)
+        else:
+            # a zero-harvest prefix: the best iterate comes back as a full
+            # power vector with the pinned slots at zero
+            inst = make_instance([0.0, 0.0, 30.0, 10.0], [19.0, 22.0])
+            tau = np.full((2, 4), inst.slot_length_t / 2)
+            with pytest.raises(NonconvergenceError) as exc:
+                solve_power(inst, tau, starved)
+            assert exc.value.best.shape == (4,)
+            assert np.all(exc.value.best[:2] == 0.0)
+            assert np.all(exc.value.best[2:] > 0.0)
+        assert f"{block} block" in str(exc.value)
         assert exc.value.residual > 0
 
     def test_bcd_downgrades_to_warning(self, row1_instance):

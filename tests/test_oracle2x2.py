@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from harvestsched import Schedule, kkt_check_2x2, optimal_2x2, score
+from harvestsched.convex import InfeasiblePointError
 
 from conftest import grid_search_2x2, make_instance
 
@@ -110,6 +111,16 @@ class TestOptimal2x2:
             else:
                 np.testing.assert_allclose(g, 1.0)
 
+    def test_equal_powers_force_equal_gammas(self):
+        # powers equal within _EQ_REL keep the gammas equal within _EQ_REL,
+        # which is why optimal_2x2 has no equal-power/unequal-gamma split
+        rng = np.random.default_rng(113)
+        for _ in range(2000):
+            inst, p = random_2x2(rng)
+            delta = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-16, -12)
+            p[1] = p[0] * (1.0 + delta)
+            assert optimal_2x2(inst, p).branch == "p1=p2,gamma1=gamma2"
+
     def test_branch_continuity_at_equal_ratios(self):
         # ratios coincide exactly when gains do; approaching equal gains from
         # both sides, branch utilities meet the equal-ratio value
@@ -155,5 +166,5 @@ class TestKktCheck2x2:
         assert ok, detail
 
     def test_infeasible_shares_rejected(self, row1_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(InfeasiblePointError):
             kkt_check_2x2(row1_instance, [0.05, 5.0], [[10.0, 10.0], [5.0, 5.0]])
