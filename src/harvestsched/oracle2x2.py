@@ -124,17 +124,15 @@ def kkt_check_2x2(inst: Instance, powers, shares_tau, tol: float = 1e-6):
         raise ValueError(f"expected a 2x2 share matrix, got shape {tau.shape}")
     T, eps = inst.slot_length_t, inst.epsilon_share
     res = kkt_residual_time(inst, powers, tau)
-    mu, mu_eps = res.multipliers["mu"], res.multipliers["mu_eps"]
-    row = tau.sum(axis=1)
+    mu = res.multipliers["mu"]
 
     detail = {
         "stationarity": res.stationarity_max,
         "dual_nonneg": float(max(0.0, -mu.min())),
         "share_nonneg": float(max(0.0, -tau.min())),
-        "min_share": float(max(0.0, (eps - row).max())),
+        "min_share": float(max(0.0, (eps - tau.sum(axis=1)).max())),
         "slot_time": float(np.abs(tau.sum(axis=0) - T).max()),
         "comp_share": float(np.abs(mu * tau).max()),
-        "comp_min_share": float(np.abs(mu_eps * (row - eps)).max()),
         # reduced system over user 1's shares: either user 1 owns the whole
         # slot or the price gap vanishes; values[0] - values[1] + mu[0] is
         # mu[1], since each mu absorbs its user's gap to the slot price

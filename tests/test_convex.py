@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harvestsched import (
     Schedule,
@@ -21,8 +23,9 @@ from harvestsched.convex import (
     InfeasibleStartError,
     NonconvergenceError,
 )
+from harvestsched.cli import HARVEST_PROFILES, builtin_scenario
 
-from conftest import grid_search_2x2, make_instance
+from conftest import SLOT_S, grid_search_2x2, make_instance
 
 
 def random_feasible_point(rng, inst):
@@ -97,6 +100,23 @@ class TestSolvePower:
         tau2 = np.array([[1e-7, 10.0], [10.0 - 1e-7, 0.0]])
         with pytest.raises(DegenerateShareError):
             solve_power(inst, tau2)
+
+    @pytest.mark.parametrize("profile", list(HARVEST_PROFILES))
+    def test_stages_end_without_stalling(self, profile, monkeypatch):
+        # every barrier stage must end on its stop rule: a stage that stalls
+        # short of it spends one Newton solve per step until a budget runs out
+        inst = builtin_scenario(profile, "moderate", 8).instance
+        tau = np.full((inst.n_users, inst.n_slots), inst.slot_length_t / inst.n_users)
+        solves = []
+        real_solve = np.linalg.solve
+
+        def counting_solve(*args, **kw):
+            solves.append(1)
+            return real_solve(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        solve_power(inst, tau)
+        assert len(solves) < 100
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(211)
@@ -281,3 +301,54 @@ class TestNonconvergence:
         assert trace.warnings
         assert check_feasibility(row1_instance, sched) == []
         assert np.all(np.diff(trace.utilities) >= -1e-8)
+
+
+@st.composite
+def block_problems(draw):
+    """A random instance with a feasible power vector and share matrix."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 8))
+    prefix = draw(st.integers(0, k - 1))
+    harvests = (
+        [0.0] * prefix
+        + [draw(st.floats(0.1, 100.0))]
+        + draw(st.lists(st.floats(0.0, 100.0), min_size=k - prefix - 1, max_size=k - prefix - 1))
+    )
+    losses = draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
+    eps_frac = draw(st.floats(1e-12, 0.99))
+    inst = make_instance(harvests, losses, epsilon_share=eps_frac * SLOT_S / n)
+
+    level = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    raw = np.array(draw(st.lists(level, min_size=k, max_size=k)))
+    raw[:prefix] = 0.0
+    if not np.any(raw > 0):
+        raw[prefix] = 1.0
+    spend = np.cumsum(raw) * SLOT_S
+    on = spend > 0
+    scale = float((inst.cum_harvests[on] / spend[on]).min())
+    powers = raw * scale * draw(st.floats(0.05, 1.0))
+
+    weights = np.array(
+        draw(st.lists(st.floats(0.01, 1.0), min_size=n * k, max_size=n * k))
+    ).reshape(n, k)
+    even = max(draw(st.floats(0.0, 1.0)), eps_frac)
+    shares = SLOT_S * ((1.0 - even) * weights / weights.sum(axis=0) + even / n)
+    return inst, powers, shares
+
+
+class TestBlockProperties:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(block_problems())
+    def test_blocks_certify_on_random_instances(self, problem):
+        inst, powers, shares = problem
+        T, n = inst.slot_length_t, inst.n_users
+
+        tau, res = solve_time(inst, powers)
+        assert res.certified(1e-6), res
+        assert np.all(np.abs(tau.sum(axis=0) - T) <= 1e-12 * T)
+        assert np.all(tau.sum(axis=1) >= T / n * (1 - 1e-6))
+        assert check_feasibility(inst, Schedule(powers, tau)) == []
+
+        p, res = solve_power(inst, shares)
+        assert res.certified(1e-6), res
+        assert check_feasibility(inst, Schedule(p, shares)) == []
