@@ -10,6 +10,14 @@ through explicit KKT residuals whose multipliers are rebuilt from the
 candidate point alone, so any ascent scheme could be swapped in behind the
 same contract.
 
+The time block's Newton system couples N users through K slot sums.  Each
+user's Hessian block is a diagonal plus a rank-one term, so Sherman-Morrison
+inverts it in O(K), and eliminating the shares leaves one K x K positive
+definite system for the slot prices, solved twice (once more for one step of
+iterative refinement).  A step costs O(N K^2 + K^3) rather than the
+O((N K + K)^3) of the assembled KKT matrix; see :func:`_newton_step_time`.
+The power block solves its dense K-order Newton system directly.
+
 The alternating driver runs the time block first, then the power block, and
 never accepts a half-step that lowers utility, so traces are monotone by
 construction.
@@ -59,7 +67,7 @@ class InfeasibleStartError(ValueError):
     """The initial schedule handed to the alternating driver is infeasible."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolverConfig:
     tol_kkt: float = 1e-6
     tol_utility: float = 1e-8
@@ -73,7 +81,7 @@ class SolverConfig:
             raise ValueError("iteration limits must be positive")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class KktResidual:
     """Worst-case optimality residuals plus the multipliers that achieve them.
 
@@ -98,7 +106,7 @@ class KktResidual:
         return self.max_residual <= tol
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BcdTrace:
     """Utility trajectory of one alternating run; utilities[0] is the start."""
 
@@ -247,7 +255,7 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initia
     def newton(x, sigma):
         A = _bits_per_user(rates, x)
         grad = rates / A[:, None] + sigma / x
-        d = _newton_step_time(rates, x, A, grad, sigma, N, K)
+        d = _newton_step_time(rates, x, A, grad, sigma)
         return d, _step_to_boundary((x, -d)), float((grad * d).sum())
 
     tau = _barrier_newton(tau, cfg, newton, merit, "time")
@@ -258,24 +266,40 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initia
     return tau, kkt_residual_time(inst, p, tau)
 
 
-def _newton_step_time(rates, tau, A, grad, sigma, N, K):
-    nk = N * K
-    H = np.zeros((nk, nk))
-    for n in range(N):
-        sl = slice(n * K, (n + 1) * K)
-        rn = rates[n]
-        block = -np.outer(rn, rn) / (A[n] * A[n])
-        block[np.diag_indices(K)] -= sigma / (tau[n] * tau[n])
-        H[sl, sl] = block
-    kkt = np.zeros((nk + K, nk + K))
-    kkt[:nk, :nk] = H
-    for t in range(K):
-        rows = np.arange(N) * K + t  # the shares of slot t in the raveled layout
-        kkt[rows, nk + t] = 1.0
-        kkt[nk + t, rows] = 1.0
-    rhs = np.concatenate([-grad.ravel(), np.zeros(K)])
-    sol = np.linalg.solve(kkt, rhs)
-    return sol[:nk].reshape(N, K)
+def _newton_step_time(rates, tau, A, grad, sigma):
+    """Newton step of the time block by block elimination (B&V 10.4.2, C.4).
+
+    The step ``d`` and slot prices ``nu`` solve ``H_n d_n + nu = -g_n`` for
+    every user n and ``sum_n d_n = 0``.  User n's Hessian block is
+    ``H_n = -(D_n + u_n u_n^T)`` with ``D_n = diag(sigma / tau_n^2)`` and
+    ``u_n = r_n / A_n``, so Sherman-Morrison inverts it in O(K):
+    ``M_n = -H_n^{-1} = D_n^{-1} - c_n w_n w_n^T`` with ``w_n = D_n^{-1} u_n``
+    and ``c_n = 1 / (1 + u_n^T w_n)``.  Then ``d_n = M_n (g_n + nu)``, and the
+    slot sums give the K x K positive definite system
+    ``S nu = -sum_n M_n g_n`` with ``S = sum_n M_n``.  ``S`` cancels badly at
+    small sigma (its diagonal and low-rank parts both grow as 1/sigma), so
+    one step of iterative refinement on the full KKT residual follows.  A
+    step costs O(N K^2 + K^3) and forms no matrix of order above K.
+    """
+    K = tau.shape[1]
+    u = rates / A[:, None]
+    d_inv = tau * tau / sigma
+    w = d_inv * u
+    c = 1.0 / (1.0 + (u * w).sum(axis=1))
+    S = -(w.T * c) @ w
+    S[np.diag_indices(K)] += d_inv.sum(axis=0)
+
+    def apply_m(a):  # M_n a_n for every user n (row)
+        return d_inv * a - (c * (w * a).sum(axis=1))[:, None] * w
+
+    def solve(a, b):  # H_n x_n + y = a_n for all n, sum_n x_n = b
+        y = np.linalg.solve(S, b + apply_m(a).sum(axis=0))
+        return apply_m(y - a), y
+
+    d, nu = solve(-grad, 0.0)
+    top = d / d_inv + u * (u * d).sum(axis=1)[:, None] - grad - nu  # -g - H d - nu
+    step, _ = solve(top, -d.sum(axis=0))
+    return d + step
 
 
 def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
@@ -458,7 +482,9 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     half-step only when it improves utility; the run stops once a whole round
     gains less than ``tol_utility`` or the round budget is exhausted.
     Subsolver nonconvergence is downgraded to a trace warning and the best
-    iterate is used.  Returns ``(schedule, BcdTrace)``.
+    iterate is used.  Returns ``(schedule, BcdTrace)``; the schedule is
+    ``trace.schedules[-1]``, and ``trace.schedules[0]`` is ``init`` itself
+    unless an entry needed clamping to zero.
     """
     cfg = cfg or SolverConfig()
     _check_dims(inst, init)
@@ -466,35 +492,38 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     if violations:
         raise InfeasibleStartError(f"initial schedule is infeasible: {violations[:3]}")
 
-    p = np.maximum(init.powers_p, 0.0)
-    tau = np.maximum(init.shares_tau, 0.0)
-    utility = score(inst, Schedule(p, tau)).utility_u
+    if np.any(init.powers_p < 0) or np.any(init.shares_tau < 0):
+        init = Schedule(np.maximum(init.powers_p, 0.0), np.maximum(init.shares_tau, 0.0))
+    sched = init  # the iterate; a rejected half-step keeps its block's array
+    utility = score(inst, sched).utility_u
     utilities = [utility]
-    schedules = [Schedule(p, tau)]
+    schedules = [sched]
     warnings: list[str] = []
     rounds = 0
     converged = False
     for rounds in range(1, cfg.max_bcd_rounds + 1):
         try:
-            tau_new, _ = solve_time(inst, p, cfg, initial_shares=tau)
+            tau_new, _ = solve_time(inst, sched.powers_p, cfg, initial_shares=sched.shares_tau)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} time block: {err}")
             tau_new = err.best
-        u_new = score(inst, Schedule(p, tau_new)).utility_u
+        cand = Schedule(sched.powers_p, tau_new)
+        u_new = score(inst, cand).utility_u
         if u_new > utility:
-            tau, utility = tau_new, u_new
+            sched, utility = cand, u_new
 
         try:
-            p_new, _ = solve_power(inst, tau, cfg, initial_powers=p)
+            p_new, _ = solve_power(inst, sched.shares_tau, cfg, initial_powers=sched.powers_p)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} power block: {err}")
             p_new = err.best
-        u_new = score(inst, Schedule(p_new, tau)).utility_u
+        cand = Schedule(p_new, sched.shares_tau)
+        u_new = score(inst, cand).utility_u
         if u_new > utility:
-            p, utility = p_new, u_new
+            sched, utility = cand, u_new
 
         utilities.append(utility)
-        schedules.append(Schedule(p, tau))
+        schedules.append(sched)
         if utilities[-1] - utilities[-2] < cfg.tol_utility:
             converged = True
             break
@@ -506,4 +535,4 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
         warnings=tuple(warnings),
         schedules=tuple(schedules),
     )
-    return Schedule(p, tau), trace
+    return sched, trace

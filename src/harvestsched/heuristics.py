@@ -18,14 +18,14 @@ from .structure import virtual_harvests
 _TIE_REL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class UserPriority:
     """Users ordered best channel first; ties broken by lower index."""
 
     order: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BetaState:
     """Slot-selection snapshot: accumulated bits after the slot was awarded,
     and the selection ratios the award was based on."""

@@ -19,7 +19,18 @@ TOL_ZERO = 1e-12
 
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    """A read-only float64 copy of ``values``, or ``values`` itself when it
+    already is a read-only float64 array that owns its data, so frozen types
+    can share arrays without aliasing a caller's writable buffer."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and not values.flags.writeable
+        and values.flags.owndata
+    ):
+        arr = values
+    else:
+        arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -28,7 +39,7 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Instance:
     """Immutable description of one scheduling frame.
 
@@ -110,7 +121,7 @@ class Instance:
         return 1e-9 * self.total_harvest
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Schedule:
     """One candidate allocation: a power per slot and a time share per user/slot."""
 
@@ -135,14 +146,14 @@ class Schedule:
         return int(self.powers_p.size)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RateMatrix:
     """Per-user, per-slot achievable rates in bits/s."""
 
     rates_r: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Violation:
     """One violated constraint: id, 0-based index, and magnitude of the breach."""
 
@@ -151,7 +162,7 @@ class Violation:
     magnitude: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ScoreReport:
     """Full evaluation of one schedule.
 

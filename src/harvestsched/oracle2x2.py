@@ -21,7 +21,7 @@ from .model import Instance, rate_matrix
 _EQ_REL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TwoByTwoCase:
     """Resolved branch for one 2-user/2-slot power pair.
 

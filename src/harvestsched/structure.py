@@ -15,7 +15,7 @@ import numpy as np
 from .model import Instance, Schedule, _check_dims
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class VirtualHarvests:
     """Deferral-transformed harvests and the slots where power steps up.
 
@@ -29,7 +29,7 @@ class VirtualHarvests:
     segment_boundaries: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SlotPermutation:
     """``pi[j]`` is the original slot placed at position ``j``."""
 

@@ -140,6 +140,35 @@ class TestRunCompare:
         assert rec.status == "ok"
         assert rec.report.utility_u == pytest.approx(29.8094, abs=1e-3)
 
+    @pytest.mark.parametrize("command", ["compare", "run"])
+    def test_one_baseline_per_scenario(self, command, monkeypatch):
+        import harvestsched.cli as cli
+
+        calls = []
+        real_sg_tdma, real_bcd = cli.sg_tdma, cli.bcd
+
+        def counting_sg_tdma(inst):
+            calls.append(inst)
+            return real_sg_tdma(inst)
+
+        starts = []
+
+        def recording_bcd(inst, init, cfg=None):
+            starts.append(init)
+            return real_bcd(inst, init, cfg)
+
+        monkeypatch.setattr(cli, "sg_tdma", counting_sg_tdma)
+        monkeypatch.setattr(cli, "bcd", recording_bcd)
+        scen = parse_scenario("HARVESTS 0.5 50 20\nPATHLOSS_DB 19 22\n")
+        if command == "compare":
+            records = compare(scen)
+            assert len(starts) == 1
+            assert starts[0] is records[0].schedule  # bcd starts at the baseline itself
+        else:
+            assert run(scen, "bcd").status == "ok"
+            assert len(starts) == 1
+        assert len(calls) == 1
+
     def test_bench_batch_shape(self):
         scens = bench_2x2_scenarios()
         assert len(scens) == 9

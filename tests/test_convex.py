@@ -22,8 +22,10 @@ from harvestsched.convex import (
     InfeasiblePointError,
     InfeasibleStartError,
     NonconvergenceError,
+    _newton_step_time,
 )
 from harvestsched.cli import HARVEST_PROFILES, builtin_scenario
+from harvestsched.model import LN2, rate_matrix
 
 from conftest import SLOT_S, grid_search_2x2, make_instance
 
@@ -185,6 +187,118 @@ class TestSolveTime:
             solve_time(row1_instance, [5.0, 0.05])
 
 
+def dense_newton_step_time(rates, tau, A, grad, sigma):
+    """Reference time-block Newton step from the assembled (N+1)K-order KKT system.
+
+    One step of iterative refinement follows the LU solve: plain LU on this
+    badly scaled matrix was off by up to 1.3e-7 relative from a 50-digit
+    solve when shares fall to 1e-9 T.
+    """
+    N, K = tau.shape
+    nk = N * K
+    kkt = np.zeros((nk + K, nk + K))
+    for n in range(N):
+        sl = slice(n * K, (n + 1) * K)
+        block = -np.outer(rates[n], rates[n]) / (A[n] * A[n])
+        block[np.diag_indices(K)] -= sigma / (tau[n] * tau[n])
+        kkt[sl, sl] = block
+    for t in range(K):
+        rows = np.arange(N) * K + t  # the shares of slot t in the raveled layout
+        kkt[rows, nk + t] = 1.0
+        kkt[nk + t, rows] = 1.0
+    rhs = np.concatenate([-grad.ravel(), np.zeros(K)])
+    sol = np.linalg.solve(kkt, rhs)
+    sol += np.linalg.solve(kkt, rhs - kkt @ sol)
+    return sol[:nk].reshape(N, K)
+
+
+def time_step_kkt_residual(rates, tau, A, grad, sigma, d):
+    """Relative residual of the time-block Newton system at step ``d``.
+
+    The slot prices are the least-squares fit of the stationarity rows, so
+    the residual measures ``d`` alone: ``-g - H d`` must be one price per
+    slot (relative to ``g``), and every slot's step must sum to zero
+    (relative to the larger of the step and the shares, both in seconds).
+    """
+    u = rates / A[:, None]
+    hess_d = -(sigma / (tau * tau) * d + u * (u * d).sum(axis=1)[:, None])
+    top = -grad - hess_d
+    stationarity = np.abs(top - top.mean(axis=0)).max() / np.abs(grad).max()
+    slot_sums = np.abs(d.sum(axis=0)).max() / max(np.abs(d).max(), tau.max())
+    return max(stationarity, slot_sums)
+
+
+def random_frame(seed, n_slots, n_users):
+    """Evenly spaced harvests over (0, 100) J and losses over (13, 40) dB, seeded order."""
+    rng = np.random.default_rng(seed)
+    harvests = rng.permutation((np.arange(n_slots) + 0.5) * (100.0 / n_slots))
+    losses = rng.permutation(13.0 + (np.arange(n_users) + 0.5) * (27.0 / n_users))
+    return make_instance(harvests, list(losses))
+
+
+STEP_INSTANCES = {
+    **{
+        f"{profile}-{n}": (lambda p=profile, n=n: builtin_scenario(p, "moderate", n).instance)
+        for profile in HARVEST_PROFILES
+        for n in range(2, 9)
+    },
+    "frame80x2-a": lambda: random_frame(1, 80, 2),
+    "frame80x2-b": lambda: random_frame(2, 80, 2),
+    "frame16x12-a": lambda: random_frame(3, 16, 12),
+    "frame16x12-b": lambda: random_frame(4, 16, 12),
+    "one-user": lambda: make_instance([5.0, 20.0, 1.0], [19.0]),
+    "one-slot": lambda: make_instance([30.0], [19.0, 22.0, 25.0]),
+}
+
+
+class TestTimeNewtonStep:
+    @pytest.mark.parametrize("name", list(STEP_INSTANCES))
+    def test_matches_dense_kkt_solve(self, name):
+        inst = STEP_INSTANCES[name]()
+        rng = np.random.default_rng(list(STEP_INSTANCES).index(name))
+        N, K = inst.n_users, inst.n_slots
+        T = inst.slot_length_t
+        sigma_final = SolverConfig().tol_kkt * LN2 / 100
+        for zero_slot in (False, True):
+            p = sg_tdma(inst).powers_p.copy()
+            if zero_slot and K > 1:
+                p[rng.integers(K)] = 0.0  # spending less keeps the budget
+            rates = rate_matrix(inst, p).rates_r
+            for alpha in (1.0, 0.05):
+                # per-slot Dirichlet shares; alpha = 0.05 puts most of a
+                # slot on one user, floored at 1e-12 T (barrier iterates
+                # stay far above it)
+                tau = rng.dirichlet(np.full(N, alpha), size=K).T * T
+                tau = np.maximum(tau, 1e-12 * T)
+                tau *= T / tau.sum(axis=0)
+                A = (tau * rates).sum(axis=1)
+                for sigma in (1.0, 1e-3, 1e-6, sigma_final):
+                    grad = rates / A[:, None] + sigma / tau
+                    d = _newton_step_time(rates, tau, A, grad, sigma)
+                    ref = dense_newton_step_time(rates, tau, A, grad, sigma)
+                    assert time_step_kkt_residual(rates, tau, A, grad, sigma, d) <= 1e-12
+                    # at the last stage the reduced Hessian's curvature is
+                    # sigma / tau^2, and the dense reference itself was off by
+                    # up to 2.2e-9 from a 50-digit solve (this step: 2.1e-10)
+                    tol = 1e-9 if sigma >= 1e-6 else 1e-8
+                    scale = max(np.abs(ref).max(), 1e-6 * T)  # one user: both are ~0
+                    assert np.abs(d - ref).max() <= tol * scale, (zero_slot, alpha, sigma)
+
+    def test_solves_no_system_above_order_k(self, monkeypatch):
+        inst = random_frame(5, 24, 16)
+        orders = []
+        real_solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            orders.append(a.shape[0])
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        tau, res = solve_time(inst, sg_tdma(inst).powers_p)
+        assert orders and max(orders) <= inst.n_slots
+        assert res.certified(1e-6)
+
+
 class TestKktResiduals:
     def test_refit_certifies_solver_output(self, row1_instance):
         tau, _ = solve_time(row1_instance, [0.05, 5.0])
@@ -257,6 +371,23 @@ class TestBcd:
         assert ta.utilities == tb.utilities
         assert np.array_equal(a.powers_p, b.powers_p)
         assert np.array_equal(a.shares_tau, b.shares_tau)
+
+    def test_keeps_each_iterate_once(self):
+        inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
+        init = sg_tdma(inst)
+        sched, trace = bcd(inst, init)
+        assert trace.schedules[0] is init
+        assert sched is trace.schedules[-1]
+        kept = 0
+        for before, after in zip(trace.schedules, trace.schedules[1:]):
+            # a block the round left unchanged keeps its array
+            if np.array_equal(before.powers_p, after.powers_p):
+                assert after.powers_p is before.powers_p
+                kept += 1
+            if np.array_equal(before.shares_tau, after.shares_tau):
+                assert after.shares_tau is before.shares_tau
+                kept += 1
+        assert kept > 0  # this instance rejects some half-steps
 
     def test_infeasible_init_rejected(self, row1_instance):
         bad = Schedule([5.0, 0.05], [[10.0, 0.0], [0.0, 10.0]])

@@ -53,6 +53,26 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule([float("inf")], [[1.0]])
 
+    def test_copies_writable_input(self):
+        # the schedule never aliases a caller's writable buffer, not even
+        # through a read-only view of it
+        powers = np.array([1.0, 2.0])
+        shares = np.array([[4.0, 5.0], [6.0, 5.0]])
+        view = shares[:]
+        view.setflags(write=False)
+        sched = Schedule(powers, view)
+        powers[0] = 9.0
+        shares[0, 0] = 9.0
+        np.testing.assert_array_equal(sched.powers_p, [1.0, 2.0])
+        np.testing.assert_array_equal(sched.shares_tau, [[4.0, 5.0], [6.0, 5.0]])
+        assert not sched.powers_p.flags.writeable
+
+    def test_reuses_frozen_arrays(self):
+        first = Schedule([1.0, 2.0], [[4.0, 5.0], [6.0, 5.0]])
+        second = Schedule(first.powers_p, first.shares_tau)
+        assert second.powers_p is first.powers_p
+        assert second.shares_tau is first.shares_tau
+
     def test_score_rejects_wrong_instance(self):
         inst = make_instance([1.0, 2.0], [19.0])
         with pytest.raises(ValueError):
