@@ -2,7 +2,6 @@
 
 from .model import (
     Instance,
-    RateMatrix,
     Schedule,
     ScoreReport,
     Violation,
@@ -12,7 +11,6 @@ from .model import (
     score,
 )
 from .structure import (
-    SlotPermutation,
     VirtualHarvests,
     sort_schedule_nondecreasing,
     virtual_harvests,
@@ -30,11 +28,8 @@ from .convex import (
     solve_time,
 )
 from .heuristics import (
-    BetaState,
-    UserPriority,
     pronto,
     ptf,
-    ptf_assignments,
     sg_tdma,
     user_priority,
 )
@@ -44,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Instance",
-    "RateMatrix",
     "Schedule",
     "ScoreReport",
     "Violation",
@@ -52,7 +46,6 @@ __all__ = [
     "improvement_pct",
     "rate_matrix",
     "score",
-    "SlotPermutation",
     "VirtualHarvests",
     "sort_schedule_nondecreasing",
     "virtual_harvests",
@@ -66,11 +59,8 @@ __all__ = [
     "power_utility_gradient",
     "solve_power",
     "solve_time",
-    "BetaState",
-    "UserPriority",
     "pronto",
     "ptf",
-    "ptf_assignments",
     "sg_tdma",
     "user_priority",
     "TwoByTwoCase",

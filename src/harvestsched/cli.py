@@ -21,7 +21,6 @@ from .convex import NonconvergenceError, SolverConfig, bcd
 from .heuristics import pronto, ptf, sg_tdma
 from .model import Instance, Schedule, ScoreReport, improvement_pct, score
 from .oracle2x2 import optimal_2x2
-from .structure import sort_schedule_nondecreasing
 
 DEFAULT_BANDWIDTH_HZ = 1000.0
 DEFAULT_NOISE_W_PER_HZ = 1e-6
@@ -65,7 +64,6 @@ class Scenario:
     label: str
     instance: Instance
     pathloss_case: str | None = None
-    algorithms: tuple = ALGORITHMS
     config: SolverConfig = SolverConfig()
 
 
@@ -238,9 +236,6 @@ def _run_algorithm(inst: Instance, algorithm: str, cfg: SolverConfig, min_share:
         return pronto(inst), ()
     if algorithm in ("bcd", "oracle2x2"):
         sched, trace = bcd(inst, start, cfg)
-        sorted_sched, _, causal = sort_schedule_nondecreasing(inst, sched)
-        if causal:
-            sched = sorted_sched
         if algorithm == "oracle2x2":  # bcd's powers, closed-form shares
             sched = Schedule(sched.powers_p, optimal_2x2(inst, sched.powers_p).tau_star)
         return sched, trace.warnings
@@ -307,14 +302,13 @@ def run(scenario: Scenario, algorithm: str, min_share: bool = False) -> RunRecor
 
 
 def compare(scenario: Scenario, min_share: bool = False) -> list:
-    """The scenario's algorithms on one scenario, baseline always first.
+    """Every algorithm of :data:`ALGORITHMS` on one scenario, baseline first.
 
     The sg-tdma baseline is built and scored once; every record is measured
     against it and ``bcd`` starts from it.
     """
     base = _baseline(scenario.instance)
-    rest = [a for a in scenario.algorithms if a != "sg-tdma"]
-    return [_record(scenario, alg, min_share, base) for alg in ("sg-tdma", *rest)]
+    return [_record(scenario, alg, min_share, base) for alg in ALGORITHMS]
 
 
 def bench_2x2_scenarios(cfg: SolverConfig | None = None) -> list:

@@ -39,7 +39,7 @@ from .model import (
     score,
     _check_dims,
 )
-from .structure import virtual_harvests
+from .structure import staircase_powers
 
 _ARMIJO = 1e-4
 _STEP_SHRINK = 0.5
@@ -233,7 +233,7 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initia
     p = _validate_powers(inst, np.asarray(powers_p, dtype=float))
     if not np.any(p > 0):
         raise ValueError("all powers are zero; the time block is vacuous")
-    rates = rate_matrix(inst, p).rates_r
+    rates = rate_matrix(inst, p)
     N, K = rates.shape
     T = inst.slot_length_t
 
@@ -319,7 +319,7 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
     loose = 1e-6 * T
     if np.any(tau < -loose) or np.any(np.abs(tau.sum(axis=0) - T) > loose):
         raise InfeasiblePointError("share matrix is too far from feasibility to certify")
-    rates = rate_matrix(inst, p).rates_r
+    rates = rate_matrix(inst, p)
     A = _bits_per_user(rates, tau)
     if np.any(A <= 0):
         raise DegenerateShareError("a user receives zero bits; the utility gradient is undefined")
@@ -369,8 +369,7 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
             "would be -inf for every feasible power vector"
         )
 
-    stair = virtual_harvests(inst).virtual_e / T
-    p_free = 0.9 * stair[free]
+    p_free = 0.9 * staircase_powers(inst)[free]
     if initial_powers is not None:
         init = np.asarray(initial_powers, dtype=float)
         if init.shape == (K,) and np.all(np.isfinite(init)):
@@ -452,13 +451,8 @@ def kkt_residual_power(inst: Instance, shares_tau, powers_p) -> KktResidual:
     p = np.maximum(p, 0.0)
     grad = power_utility_gradient(inst, tau, p)
     slack = C - spent
-    K = inst.n_slots
-
-    suffix = np.zeros(K)  # price of energy as seen from slot t onward
-    run = 0.0
-    for t in range(K - 1, -1, -1):
-        run = max(run, grad[t] / T)
-        suffix[t] = run
+    # price of energy as seen from slot t onward
+    suffix = np.maximum.accumulate(np.maximum(grad / T, 0.0)[::-1])[::-1]
     lam = suffix - np.append(suffix[1:], 0.0)
     mu = T * suffix - grad
 

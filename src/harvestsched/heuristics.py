@@ -8,42 +8,20 @@ channel-quality order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Instance, Schedule, rate_matrix
-from .structure import virtual_harvests
+from .structure import staircase_powers
 
 _TIE_REL = 1e-12
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class UserPriority:
+def user_priority(inst: Instance) -> tuple:
     """Users ordered best channel first; ties broken by lower index."""
-
-    order: tuple
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class BetaState:
-    """Slot-selection snapshot: accumulated bits after the slot was awarded,
-    and the selection ratios the award was based on."""
-
-    cumulative_b: np.ndarray
-    current_beta: np.ndarray
-
-
-def user_priority(inst: Instance) -> UserPriority:
     gains = inst.gains
     # lexsort: last key is primary, so sort by descending gain, then index
     order = np.lexsort((np.arange(inst.n_users), -gains))
-    return UserPriority(order=tuple(int(i) for i in order))
-
-
-def staircase_powers(inst: Instance) -> np.ndarray:
-    """Per-slot powers induced by the deferral staircase (shared by PTF/ProNTO)."""
-    return virtual_harvests(inst).virtual_e / inst.slot_length_t
+    return tuple(int(i) for i in order)
 
 
 def sg_tdma(inst: Instance) -> Schedule:
@@ -73,8 +51,8 @@ def _pick(candidates: np.ndarray, gains: np.ndarray) -> int:
     return int(best.min())
 
 
-def ptf_assignments(inst: Instance):
-    """Slot owners chosen by the proportional bit-gain rule.
+def ptf(inst: Instance, min_share: bool = False) -> Schedule:
+    """Staircase powers with whole slots assigned by the beta rule.
 
     Slot 0 goes to the user with the highest rate there.  Every later slot t
     is awarded by beta_n = B_nt / (accumulated bits of n + B_nt), where
@@ -82,15 +60,18 @@ def ptf_assignments(inst: Instance):
     who has received nothing yet has beta = 1 and therefore wins before any
     served user.  Ties go to the best channel, then the lowest index.
 
-    Returns ``(owners, states)`` with one :class:`BetaState` per slot.
+    With ``min_share`` a user that still ends up with zero bits is granted
+    ``epsilon_share`` seconds carved out of its best-rate slot; by default
+    such starvation is left in place and surfaces in scoring.
     """
     T = inst.slot_length_t
-    rates = rate_matrix(inst, staircase_powers(inst)).rates_r
+    powers = staircase_powers(inst)
+    rates = rate_matrix(inst, powers)
     bits_full = rates * T
     acc = np.zeros(inst.n_users)
     gains = inst.gains
     owners: list[int] = []
-    states: list[BetaState] = []
+    shares = np.zeros((inst.n_users, inst.n_slots))
     for t in range(inst.n_slots):
         b = bits_full[:, t]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -98,31 +79,10 @@ def ptf_assignments(inst: Instance):
         owner = _pick(rates[:, 0] if t == 0 else beta, gains)
         owners.append(owner)
         acc[owner] += b[owner]
-        snap_acc = acc.copy()
-        snap_acc.setflags(write=False)
-        beta.setflags(write=False)
-        states.append(BetaState(cumulative_b=snap_acc, current_beta=beta))
-    return owners, states
-
-
-def ptf(inst: Instance, min_share: bool = False) -> Schedule:
-    """Staircase powers with whole slots assigned by the beta rule.
-
-    With ``min_share`` a user that still ends up with zero bits is granted
-    ``epsilon_share`` seconds carved out of its best-rate slot; by default
-    such starvation is left in place and surfaces in scoring.
-    """
-    T = inst.slot_length_t
-    powers = staircase_powers(inst)
-    owners, _ = ptf_assignments(inst)
-    shares = np.zeros((inst.n_users, inst.n_slots))
-    for t, owner in enumerate(owners):
         shares[owner, t] = T
     if min_share:
-        rates = rate_matrix(inst, powers).rates_r
-        bits = (shares * rates).sum(axis=1)
         eps = inst.epsilon_share
-        for n in np.flatnonzero(bits == 0.0):
+        for n in np.flatnonzero(acc == 0.0):
             t = int(np.argmax(rates[n]))
             donor = owners[t]
             shares[donor, t] -= eps
@@ -142,7 +102,7 @@ def pronto(inst: Instance) -> Schedule:
         raise ValueError(f"block assignment needs K >= N, got K < N ({K} < {N})")
     T = inst.slot_length_t
     powers = staircase_powers(inst)
-    order = user_priority(inst).order
+    order = user_priority(inst)
     base, extra = divmod(K, N)
     shares = np.zeros((N, K))
     start = 0

@@ -147,13 +147,6 @@ class Schedule:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class RateMatrix:
-    """Per-user, per-slot achievable rates in bits/s."""
-
-    rates_r: np.ndarray
-
-
-@dataclass(frozen=True, eq=False, slots=True)
 class Violation:
     """One violated constraint: id, 0-based index, and magnitude of the breach."""
 
@@ -188,16 +181,15 @@ def _check_dims(inst: Instance, sched: Schedule) -> None:
         )
 
 
-def rate_matrix(inst: Instance, powers_p) -> RateMatrix:
-    """Achievable rates W*log2(1 + L_n * p_t) for the given power vector."""
+def rate_matrix(inst: Instance, powers_p) -> np.ndarray:
+    """Achievable rates W*log2(1 + L_n * p_t) in bits/s, one row per user."""
     p = np.asarray(powers_p, dtype=float)
     if p.ndim != 1 or p.size != inst.n_slots:
         raise ValueError(f"expected {inst.n_slots} powers, got shape {p.shape}")
     if np.any(p < -TOL_ZERO) or not np.all(np.isfinite(p)):
         raise ValueError("powers must be nonnegative and finite")
     p = np.maximum(p, 0.0)
-    rates = inst.bandwidth_w_hz * np.log1p(np.outer(inst.norm_gains, p)) / LN2
-    return RateMatrix(rates_r=rates)
+    return inst.bandwidth_w_hz * np.log1p(np.outer(inst.norm_gains, p)) / LN2
 
 
 def check_feasibility(inst: Instance, sched: Schedule) -> list:
@@ -235,7 +227,7 @@ def score(inst: Instance, sched: Schedule) -> ScoreReport:
     in the result rather than raised.
     """
     _check_dims(inst, sched)
-    rates = rate_matrix(inst, np.maximum(sched.powers_p, 0.0)).rates_r
+    rates = rate_matrix(inst, np.maximum(sched.powers_p, 0.0))
     bits = np.maximum(sched.shares_tau, 0.0) * rates
     per_user_bits = bits.sum(axis=1)
     with np.errstate(divide="ignore"):

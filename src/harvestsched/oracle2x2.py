@@ -60,7 +60,7 @@ def optimal_2x2(inst: Instance, powers) -> TwoByTwoCase:
     if np.any(p <= 0):
         raise ValueError("both powers must be positive (rate ratios are undefined at zero)")
     T = inst.slot_length_t
-    R = rate_matrix(inst, p).rates_r
+    R = rate_matrix(inst, p)
     (r11, r12), (r21, r22) = R
     g1, g2 = r12 / r11, r22 / r21
     pc, gc = _rel_cmp(p[0], p[1]), _rel_cmp(g1, g2)

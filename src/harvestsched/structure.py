@@ -29,13 +29,6 @@ class VirtualHarvests:
     segment_boundaries: tuple
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class SlotPermutation:
-    """``pi[j]`` is the original slot placed at position ``j``."""
-
-    pi: tuple
-
-
 def virtual_harvests(inst: Instance) -> VirtualHarvests:
     """Equalize the harvest profile into its nondecreasing staircase.
 
@@ -60,10 +53,16 @@ def virtual_harvests(inst: Instance) -> VirtualHarvests:
     return VirtualHarvests(virtual_e=virtual, segment_boundaries=boundaries)
 
 
+def staircase_powers(inst: Instance) -> np.ndarray:
+    """Per-slot powers induced by the deferral staircase."""
+    return virtual_harvests(inst).virtual_e / inst.slot_length_t
+
+
 def sort_schedule_nondecreasing(inst: Instance, sched: Schedule):
     """Permute slots so powers are nondecreasing, shares following their slots.
 
-    Returns ``(schedule, permutation, feasible)``.  The stable sort makes the
+    Returns ``(schedule, permutation, feasible)``, where ``permutation[j]`` is
+    the original slot placed at position ``j``.  The stable sort makes the
     permutation deterministic under ties.  Utility is unchanged because each
     user's bits are a sum over slots, reordered but not altered.  The flag
     reports whether the permuted schedule still satisfies energy causality;
@@ -77,4 +76,4 @@ def sort_schedule_nondecreasing(inst: Instance, sched: Schedule):
     )
     spent = np.cumsum(sorted_sched.powers_p) * inst.slot_length_t
     feasible = bool(np.all(spent <= inst.cum_harvests + inst.tol_energy))
-    return sorted_sched, SlotPermutation(pi=tuple(int(i) for i in perm)), feasible
+    return sorted_sched, tuple(int(i) for i in perm), feasible

@@ -41,7 +41,7 @@ def grid_search_2x2(inst: Instance, powers, steps: int = 2000) -> float:
     from harvestsched import rate_matrix
 
     T = inst.slot_length_t
-    R = rate_matrix(inst, powers).rates_r
+    R = rate_matrix(inst, powers)
     g = np.linspace(0.0, T, steps + 1)
     best = -math.inf
     a1_slot1 = g * R[0, 0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from harvestsched import improvement_pct
+from harvestsched import improvement_pct, kkt_residual_power, kkt_residual_time
 from harvestsched.cli import (
     CSV_HEADER,
     HARVEST_PROFILES,
@@ -118,14 +118,6 @@ class TestRunCompare:
             improvement_pct(bcd_rec.report.utility_u, expected_base), abs=1e-9
         )
 
-    def test_compare_honors_algorithm_list(self):
-        from dataclasses import replace
-
-        scen = parse_scenario("HARVESTS 0.5 50\nPATHLOSS_DB 19 22\n")
-        trimmed = replace(scen, algorithms=("ptf", "sg-tdma"))
-        records = compare(trimmed)
-        assert [r.algorithm for r in records] == ["sg-tdma", "ptf"]
-
     def test_per_record_error_for_small_frames(self):
         scen = builtin_scenario("bursty", "moderate", 11)
         rec = run(scen, "pronto")
@@ -168,6 +160,39 @@ class TestRunCompare:
             assert run(scen, "bcd").status == "ok"
             assert len(starts) == 1
         assert len(calls) == 1
+
+    def test_bcd_record_is_returned_schedule(self, monkeypatch):
+        import harvestsched.cli as cli
+
+        traces = []
+        real_bcd = cli.bcd
+
+        def recording_bcd(inst, init, cfg=None):
+            sched, trace = real_bcd(inst, init, cfg)
+            traces.append(trace)
+            return sched, trace
+
+        monkeypatch.setattr(cli, "bcd", recording_bcd)
+        scen = parse_scenario("HARVESTS 50 0.5 20\nPATHLOSS_DB 19 22\n")
+        rec = run(scen, "bcd")
+        assert rec.schedule is traces[0].schedules[-1]
+
+    def test_bcd_record_certifies_on_long_frame(self):
+        # a slot permutation of bcd's point keeps its utility but is not
+        # power-stationary for the permuted budgets, so the record must carry
+        # the point as solved
+        rng = np.random.default_rng(1)
+        harvests = rng.permutation((np.arange(80) + 0.5) * (100.0 / 80))
+        losses = rng.permutation(13.0 + (np.arange(2) + 0.5) * (27.0 / 2))
+        scen = parse_scenario(
+            "HARVESTS " + " ".join(repr(float(x)) for x in harvests) + "\n"
+            + "PATHLOSS_DB " + " ".join(repr(float(x)) for x in losses) + "\n"
+        )
+        rec = compare(scen)[-1]
+        assert (rec.algorithm, rec.status, rec.warnings) == ("bcd", "ok", ())
+        inst, sched, tol = scen.instance, rec.schedule, scen.config.tol_kkt
+        assert kkt_residual_time(inst, sched.powers_p, sched.shares_tau).max_residual <= tol
+        assert kkt_residual_power(inst, sched.shares_tau, sched.powers_p).max_residual <= tol
 
     def test_bench_batch_shape(self):
         scens = bench_2x2_scenarios()

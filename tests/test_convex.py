@@ -263,7 +263,7 @@ class TestTimeNewtonStep:
             p = sg_tdma(inst).powers_p.copy()
             if zero_slot and K > 1:
                 p[rng.integers(K)] = 0.0  # spending less keeps the budget
-            rates = rate_matrix(inst, p).rates_r
+            rates = rate_matrix(inst, p)
             for alpha in (1.0, 0.05):
                 # per-slot Dirichlet shares; alpha = 0.05 puts most of a
                 # slot on one user, floored at 1e-12 T (barrier iterates

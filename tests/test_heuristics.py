@@ -7,13 +7,12 @@ from harvestsched import (
     check_feasibility,
     pronto,
     ptf,
-    ptf_assignments,
     score,
     sg_tdma,
     user_priority,
     virtual_harvests,
 )
-from harvestsched.heuristics import staircase_powers
+from harvestsched.structure import staircase_powers
 
 from conftest import make_instance, oracle_rate
 
@@ -46,11 +45,11 @@ class TestSgTdma:
 class TestUserPriority:
     def test_orders_by_gain_then_index(self):
         inst = make_instance([1.0], [13.0, 17.0, 10.0, 12.0, 20.0])
-        assert user_priority(inst).order == (2, 3, 0, 1, 4)
+        assert user_priority(inst) == (2, 3, 0, 1, 4)
 
     def test_tie_breaks_by_index(self):
         inst = make_instance([1.0], [15.0, 12.0, 12.0])
-        assert user_priority(inst).order == (1, 2, 0)
+        assert user_priority(inst) == (1, 2, 0)
 
 
 class TestPtf:
@@ -64,20 +63,16 @@ class TestPtf:
     def test_reference_two_slot_assignment(self, row1_instance):
         # slot 0 goes to the higher-rate user; in slot 1 the untouched user
         # has ratio 1 and must win
-        owners, states = ptf_assignments(row1_instance)
-        assert owners == [0, 1]
-        r10 = oracle_rate(19.0, 0.05)
-        assert states[0].cumulative_b[0] == pytest.approx(10 * r10, rel=1e-9)
-        assert states[1].current_beta[1] == pytest.approx(1.0)
-        beta0_slot1 = states[1].current_beta[0]
-        assert beta0_slot1 == pytest.approx(0.8949, abs=2e-4)
         sched = ptf(row1_instance)
         np.testing.assert_allclose(sched.shares_tau, [[10.0, 0.0], [0.0, 10.0]])
+        # user 0's beta in slot 1 is 0.8949, below the untouched user 1's 1
+        b00, b01 = (10 * oracle_rate(19.0, p) for p in sched.powers_p)
+        assert score(row1_instance, sched).per_user_bits[0] == pytest.approx(b00, rel=1e-9)
+        assert b01 / (b00 + b01) == pytest.approx(0.8949, abs=2e-4)
 
     def test_constant_powers_round_robin(self):
         inst = make_instance([10.0] * 6, [19.0, 22.0, 25.0])
-        owners, _ = ptf_assignments(inst)
-        assert owners == [0, 1, 2, 0, 1, 2]
+        assert ptf(inst).shares_tau.argmax(axis=0).tolist() == [0, 1, 2, 0, 1, 2]
         rep = score(inst, ptf(inst))
         assert rep.feasible and math.isfinite(rep.utility_u)
 
@@ -93,17 +88,15 @@ class TestPtf:
             k = int(rng.integers(n, 13))
             harvests = rng.uniform(0.2, 60, size=k)
             inst = make_instance(harvests, list(rng.uniform(1, 35, size=n)))
-            owners, _ = ptf_assignments(inst)
-            assert set(owners) == set(range(n))
+            owners = ptf(inst).shares_tau.argmax(axis=0)
+            assert set(owners.tolist()) == set(range(n))
 
-    def test_cumulative_bits_nondecreasing_and_beta_bounded(self):
-        inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19, 22, 25])
-        _, states = ptf_assignments(inst)
-        prev = np.zeros(3)
-        for st in states:
-            assert np.all(st.cumulative_b >= prev - 1e-12)
-            assert np.all((0.0 <= st.current_beta) & (st.current_beta <= 1.0))
-            prev = st.cumulative_b
+    def test_regular_profile_owners(self):
+        # four users fill the first two rounds in order; after that the beta
+        # rule departs from round-robin
+        inst = make_instance([73, 65, 9, 19, 40, 37, 22, 84, 39, 67, 81, 100], [13, 16, 19, 22])
+        owners = ptf(inst).shares_tau.argmax(axis=0).tolist()
+        assert owners == [0, 1, 2, 3, 0, 1, 2, 3, 2, 1, 3, 0]
 
     def test_energy_causality_with_slack(self):
         rng = np.random.default_rng(43)
@@ -167,7 +160,7 @@ class TestPronto:
             owned = (sched.shares_tau > 0).sum(axis=1)
             assert owned.sum() == k
             assert owned.max() - owned.min() <= 1
-            order = user_priority(inst).order
+            order = user_priority(inst)
             sizes = [owned[u] for u in order]
             assert sizes == sorted(sizes, reverse=True)  # bigger blocks to better channels
             assert np.all(owned >= 1)

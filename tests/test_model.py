@@ -82,21 +82,21 @@ class TestSchedule:
 class TestRateMatrix:
     def test_reference_point_19db(self):
         inst = make_instance([1.0, 1.0], [19.0, 22.0])
-        rates = rate_matrix(inst, [5.0, 5.0]).rates_r
+        rates = rate_matrix(inst, [5.0, 5.0])
         expected = oracle_rate(19.0, 5.0)
         assert rates[0, 0] == pytest.approx(expected, rel=1e-10)
         assert rates[0, 0] == pytest.approx(5998.79, abs=0.01)
 
     def test_zero_power_zero_rate(self):
         inst = make_instance([1.0, 1.0], [19.0, 22.0])
-        rates = rate_matrix(inst, [0.0, 5.0]).rates_r
+        rates = rate_matrix(inst, [0.0, 5.0])
         assert rates[0, 0] == 0.0
         assert rates[1, 0] == 0.0
         assert np.all(rates[:, 1] > 0)
 
     def test_reference_point_22db(self):
         inst = make_instance([1.0], [22.0])
-        rates = rate_matrix(inst, [0.05]).rates_r
+        rates = rate_matrix(inst, [0.05])
         assert rates[0, 0] == pytest.approx(oracle_rate(22.0, 0.05), rel=1e-10)
         assert rates[0, 0] == pytest.approx(395.59, abs=0.01)
 
@@ -110,7 +110,7 @@ class TestRateMatrix:
     def test_monotone_in_power_and_gain(self):
         inst = make_instance([1.0] * 4, [13.0, 19.0, 25.0])
         powers = np.array([0.01, 0.5, 2.0, 9.0])
-        rates = rate_matrix(inst, powers).rates_r
+        rates = rate_matrix(inst, powers)
         assert np.all(np.diff(rates, axis=1) > 0)  # power up, rate up
         assert np.all(np.diff(rates, axis=0) < 0)  # more loss, less rate
 

@@ -54,7 +54,7 @@ class TestOptimal2x2:
         T = inst.slot_length_t
         from harvestsched import rate_matrix
 
-        r = rate_matrix(inst, [2.0, 2.0]).rates_r
+        r = rate_matrix(inst, [2.0, 2.0])
         assert case.utility_star == pytest.approx(
             math.log2(r[0, 0] * r[1, 1]) + 2 * math.log2(T)
         )

@@ -108,7 +108,7 @@ class TestSortScheduleNondecreasing:
         out, perm, feasible = sort_schedule_nondecreasing(row1_instance, sched)
         np.testing.assert_allclose(out.powers_p, [0.05, 5.0])
         np.testing.assert_allclose(out.shares_tau, [[10.0, 0.0], [0.0, 10.0]])
-        assert perm.pi == (1, 0)
+        assert perm == (1, 0)
         assert feasible
         u_before = score(row1_instance, sched).utility_u
         u_after = score(row1_instance, out).utility_u
@@ -117,7 +117,7 @@ class TestSortScheduleNondecreasing:
     def test_identity_on_sorted_input(self, row1_instance):
         sched = Schedule([0.05, 5.0], [[10.0, 4.4129], [0.0, 5.5871]])
         out, perm, feasible = sort_schedule_nondecreasing(row1_instance, sched)
-        assert perm.pi == (0, 1)
+        assert perm == (0, 1)
         assert feasible
         np.testing.assert_array_equal(out.powers_p, sched.powers_p)
         np.testing.assert_array_equal(out.shares_tau, sched.shares_tau)
@@ -130,7 +130,7 @@ class TestSortScheduleNondecreasing:
         tau2 = [0.0, 0, 0, 0, 0, 6.3334, 10, 10, 10, 10]
         inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0])
         out, perm, feasible = sort_schedule_nondecreasing(inst, Schedule(powers, [tau1, tau2]))
-        assert perm.pi == tuple(range(10))
+        assert perm == tuple(range(10))
         assert feasible
 
     def test_sorting_feasible_input_stays_causal(self):
