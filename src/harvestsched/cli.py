@@ -439,7 +439,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True,
-                   help="scenario file, builtin name (regular|bursty|very-bursty), or bench2x2")
+                   help="scenario file, builtin name (regular|bursty|very-bursty), or "
+                        "bench2x2; sweep ignores it and runs all three profiles")
     p.add_argument("--case", choices=sorted(PATHLOSS_START_DB), default=None)
     p.add_argument("--users", default=None,
                    help="user count, or A..B range for sweep")

@@ -8,7 +8,9 @@ and every barrier stage ends on the Newton decrement.  The solver is
 deliberately decoupled from its certificate: every solution is checked
 through explicit KKT residuals whose multipliers are rebuilt from the
 candidate point alone, so any ascent scheme could be swapped in behind the
-same contract.
+same contract.  Each solver checks its fixed input, and each certifier its
+point, with the checks of ``model.check_feasibility`` for that variable, and
+raises :class:`InfeasiblePointError` on any violation.
 
 The time block's Newton system couples N users through K slot sums.  Each
 user's Hessian block is a diagonal plus a rank-one term, so Sherman-Morrison
@@ -31,13 +33,14 @@ import numpy as np
 
 from .model import (
     LN2,
-    TOL_ZERO,
     Instance,
     Schedule,
     check_feasibility,
     rate_matrix,
     score,
     _check_dims,
+    _power_violations,
+    _share_violations,
 )
 from .structure import staircase_powers
 
@@ -60,7 +63,7 @@ class DegenerateShareError(ValueError):
 
 
 class InfeasiblePointError(ValueError):
-    """Candidate point is too far from primal feasibility to certify."""
+    """A block's fixed or certified variable breaks a :func:`check_feasibility` check."""
 
 
 class InfeasibleStartError(ValueError):
@@ -89,18 +92,13 @@ class KktResidual:
     ``lambda`` (cumulative energy) and ``mu`` (power nonnegativity); for the
     time problem ``lambda`` (per-slot time) and ``mu`` (share nonnegativity,
     N x K).  The minimum total share never binds at a time-block optimum
-    (see :func:`solve_time`), so it carries no multiplier.  All residuals are
-    in log2 utility units.
+    (see :func:`solve_time`), so it carries no multiplier.  ``max_residual``
+    is the worst complementarity term, in log2 utility units: stationarity
+    holds by construction and infeasible points raise before it is formed.
     """
 
-    stationarity_max: float
-    complementarity_max: float
-    primal_violation_max: float
+    max_residual: float
     multipliers: dict
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.stationarity_max, self.complementarity_max, self.primal_violation_max)
 
     def certified(self, tol: float) -> bool:
         return self.max_residual <= tol
@@ -138,28 +136,22 @@ def power_utility_gradient(inst: Instance, shares_tau, powers_p) -> np.ndarray:
     return (dA / A_nat[:, None]).sum(axis=0) / LN2
 
 
-def _validate_shares(inst: Instance, tau: np.ndarray) -> None:
-    T = inst.slot_length_t
+def _check_shares(inst: Instance, tau: np.ndarray) -> None:
     if tau.shape != (inst.n_users, inst.n_slots):
         raise ValueError(f"share matrix shape {tau.shape} does not match instance")
-    if np.any(tau < -TOL_ZERO):
-        raise ValueError("shares must be nonnegative")
-    if np.any(np.abs(tau.sum(axis=0) - T) > max(inst.tol_time, 1e-7 * T)):
-        raise ValueError("per-slot shares must sum to the slot length")
-    if np.any(tau.sum(axis=1) < inst.epsilon_share - 1e-7 * T):
-        raise ValueError("every user must keep at least the minimum total share")
+    violations = _share_violations(inst, tau)
+    if violations:
+        raise InfeasiblePointError(f"shares break {violations[:3]}")
 
 
-def _validate_powers(inst: Instance, p: np.ndarray) -> np.ndarray:
+def _checked_powers(inst: Instance, p: np.ndarray) -> np.ndarray:
+    """``p`` clamped at zero, once it passes the power checks."""
     if p.shape != (inst.n_slots,):
         raise ValueError(f"expected {inst.n_slots} powers, got shape {p.shape}")
-    if np.any(p < -TOL_ZERO):
-        raise ValueError("powers must be nonnegative")
-    p = np.maximum(p, 0.0)
-    spent = np.cumsum(p) * inst.slot_length_t
-    if np.any(spent > inst.cum_harvests + max(inst.tol_energy, 1e-7 * inst.total_harvest)):
-        raise ValueError("powers violate the cumulative energy budget")
-    return p
+    violations = _power_violations(inst, p)
+    if violations:
+        raise InfeasiblePointError(f"powers break {violations[:3]}")
+    return np.maximum(p, 0.0)
 
 
 def _step_to_boundary(*limits) -> float:
@@ -230,7 +222,7 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initia
     so its total share is at least 1 / max_t lambda_t >= T/N > epsilon_share.
     """
     cfg = cfg or SolverConfig()
-    p = _validate_powers(inst, np.asarray(powers_p, dtype=float))
+    p = _checked_powers(inst, np.asarray(powers_p, dtype=float))
     if not np.any(p > 0):
         raise ValueError("all powers are zero; the time block is vacuous")
     rates = rate_matrix(inst, p)
@@ -313,12 +305,7 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
     """
     p = np.maximum(np.asarray(powers_p, dtype=float), 0.0)
     tau = np.asarray(shares_tau, dtype=float)
-    T, eps = inst.slot_length_t, inst.epsilon_share
-    if tau.shape != (inst.n_users, inst.n_slots):
-        raise ValueError(f"share matrix shape {tau.shape} does not match instance")
-    loose = 1e-6 * T
-    if np.any(tau < -loose) or np.any(np.abs(tau.sum(axis=0) - T) > loose):
-        raise InfeasiblePointError("share matrix is too far from feasibility to certify")
+    _check_shares(inst, tau)
     rates = rate_matrix(inst, p)
     A = _bits_per_user(rates, tau)
     if np.any(A <= 0):
@@ -327,15 +314,8 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
 
     lam = values.max(axis=0)
     mu = lam[None, :] - values
-    primal = max(
-        float(max(0.0, -tau.min())),
-        float(np.abs(tau.sum(axis=0) - T).max()),
-        float(max(0.0, (eps - tau.sum(axis=1)).max())),
-    )
     return KktResidual(
-        stationarity_max=0.0,  # exact by construction
-        complementarity_max=float(np.abs(mu * tau).max()),
-        primal_violation_max=float(primal),
+        max_residual=float(np.abs(mu * tau).max()),
         multipliers={"lambda": lam, "mu": mu},
     )
 
@@ -353,7 +333,7 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
     """
     cfg = cfg or SolverConfig()
     tau = np.asarray(shares_tau, dtype=float)
-    _validate_shares(inst, tau)
+    _check_shares(inst, tau)
     tau = np.maximum(tau, 0.0)
     T = inst.slot_length_t
     K = inst.n_slots
@@ -439,29 +419,17 @@ def kkt_residual_power(inst: Instance, shares_tau, powers_p) -> KktResidual:
     gaps on powered slots.
     """
     tau = np.asarray(shares_tau, dtype=float)
-    p = np.asarray(powers_p, dtype=float)
-    if p.shape != (inst.n_slots,):
-        raise ValueError(f"expected {inst.n_slots} powers, got shape {p.shape}")
+    p = _checked_powers(inst, np.asarray(powers_p, dtype=float))
     T = inst.slot_length_t
-    C = inst.cum_harvests
-    loose = 1e3 * inst.tol_energy
-    spent = np.cumsum(np.maximum(p, 0.0)) * T
-    if np.any(p < -1e-9) or np.any(spent > C + loose):
-        raise InfeasiblePointError("powers are too far from feasibility to certify")
-    p = np.maximum(p, 0.0)
     grad = power_utility_gradient(inst, tau, p)
-    slack = C - spent
+    slack = inst.cum_harvests - np.cumsum(p) * T
     # price of energy as seen from slot t onward
     suffix = np.maximum.accumulate(np.maximum(grad / T, 0.0)[::-1])[::-1]
     lam = suffix - np.append(suffix[1:], 0.0)
     mu = T * suffix - grad
 
-    complementarity = max(float(np.abs(mu * p).max()), float(np.abs(lam * slack).max()))
-    primal = max(float(max(0.0, -p.min())), float(max(0.0, (spent - C).max())))
     return KktResidual(
-        stationarity_max=0.0,  # exact by construction
-        complementarity_max=complementarity,
-        primal_violation_max=float(primal),
+        max_residual=max(float(np.abs(mu * p).max()), float(np.abs(lam * slack).max())),
         multipliers={"lambda": lam, "mu": mu},
     )
 

@@ -192,19 +192,21 @@ def rate_matrix(inst: Instance, powers_p) -> np.ndarray:
     return inst.bandwidth_w_hz * np.log1p(np.outer(inst.norm_gains, p)) / LN2
 
 
-def check_feasibility(inst: Instance, sched: Schedule) -> list:
-    """All constraint violations of a schedule, empty when it is feasible.
-
-    Checks nonnegativity of shares and powers, per-slot time sums, the
-    per-user minimum total share, and cumulative energy causality, each with
-    the scale-relative tolerances of the instance.
-    """
-    _check_dims(inst, sched)
-    T = inst.slot_length_t
+def _power_violations(inst: Instance, p: np.ndarray) -> list:
+    """Power-sign and cumulative-energy violations of a power vector."""
     out: list[Violation] = []
-    p, tau = sched.powers_p, sched.shares_tau
     for t in np.flatnonzero(p < -TOL_ZERO):
         out.append(Violation("power_nonneg", (int(t),), float(-p[t])))
+    excess = np.cumsum(p) * inst.slot_length_t - inst.cum_harvests
+    for t in np.flatnonzero(excess > inst.tol_energy):
+        out.append(Violation("energy_causality", (int(t),), float(excess[t])))
+    return out
+
+
+def _share_violations(inst: Instance, tau: np.ndarray) -> list:
+    """Share-sign, per-slot time and minimum-share violations of a share matrix."""
+    T = inst.slot_length_t
+    out: list[Violation] = []
     for n, t in zip(*np.nonzero(tau < -TOL_ZERO)):
         out.append(Violation("share_nonneg", (int(n), int(t)), float(-tau[n, t])))
     col = tau.sum(axis=0)
@@ -213,11 +215,21 @@ def check_feasibility(inst: Instance, sched: Schedule) -> list:
     row = tau.sum(axis=1)
     for n in np.flatnonzero(row < inst.epsilon_share - TOL_ZERO):
         out.append(Violation("min_share", (int(n),), float(inst.epsilon_share - row[n])))
-    spent = np.cumsum(p) * T
-    excess = spent - inst.cum_harvests
-    for t in np.flatnonzero(excess > inst.tol_energy):
-        out.append(Violation("energy_causality", (int(t),), float(excess[t])))
     return out
+
+
+def check_feasibility(inst: Instance, sched: Schedule) -> list:
+    """All constraint violations of a schedule, empty when it is feasible.
+
+    Checks nonnegativity of powers and shares, per-slot time sums, the
+    per-user minimum total share, and cumulative energy causality, in that
+    order, each with the scale-relative tolerances of the instance.  The
+    block solvers and certifiers apply the same checks to their variable.
+    """
+    _check_dims(inst, sched)
+    power = _power_violations(inst, sched.powers_p)
+    k = sum(v.constraint == "power_nonneg" for v in power)
+    return power[:k] + _share_violations(inst, sched.shares_tau) + power[k:]
 
 
 def score(inst: Instance, sched: Schedule) -> ScoreReport:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Schedule, _check_dims
+from .model import Instance, Schedule, _check_dims, _power_violations
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -65,8 +65,8 @@ def sort_schedule_nondecreasing(inst: Instance, sched: Schedule):
     the original slot placed at position ``j``.  The stable sort makes the
     permutation deterministic under ties.  Utility is unchanged because each
     user's bits are a sum over slots, reordered but not altered.  The flag
-    reports whether the permuted schedule still satisfies energy causality;
-    no repair is attempted when it does not.
+    reports whether the permuted schedule still satisfies energy causality
+    (by ``check_feasibility``); no repair is attempted when it does not.
     """
     _check_dims(inst, sched)
     perm = np.argsort(sched.powers_p, kind="stable")
@@ -74,6 +74,6 @@ def sort_schedule_nondecreasing(inst: Instance, sched: Schedule):
         powers_p=sched.powers_p[perm],
         shares_tau=sched.shares_tau[:, perm],
     )
-    spent = np.cumsum(sorted_sched.powers_p) * inst.slot_length_t
-    feasible = bool(np.all(spent <= inst.cum_harvests + inst.tol_energy))
+    violations = _power_violations(inst, sorted_sched.powers_p)
+    feasible = all(v.constraint != "energy_causality" for v in violations)
     return sorted_sched, tuple(int(i) for i in perm), feasible

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harvestsched import (
@@ -25,7 +25,7 @@ from harvestsched.convex import (
     _newton_step_time,
 )
 from harvestsched.cli import HARVEST_PROFILES, builtin_scenario
-from harvestsched.model import LN2, rate_matrix
+from harvestsched.model import LN2, TOL_ZERO, _power_violations, _share_violations, rate_matrix
 
 from conftest import SLOT_S, grid_search_2x2, make_instance
 
@@ -483,3 +483,72 @@ class TestBlockProperties:
         p, res = solve_power(inst, shares)
         assert res.certified(1e-6), res
         assert check_feasibility(inst, Schedule(p, shares)) == []
+
+
+def perturbed(inst, powers, shares, constraint, factor):
+    """The point with one constraint broken by ``factor`` times its tolerance.
+
+    ``factor < 1`` leaves the breach inside the tolerance, and ``factor = 0``
+    puts it exactly on the bound.  The share-sign case empties the share of
+    the user with the most time in the slot of least power, so every user
+    keeps bits while two slots remain.
+    """
+    p, tau = powers.copy(), shares.copy()
+    T = inst.slot_length_t
+    if constraint == "power_nonneg":
+        p[np.argmin(p)] = -factor * TOL_ZERO
+    elif constraint == "energy_causality":
+        p[-1] += (inst.cum_harvests[-1] - p.sum() * T + factor * inst.tol_energy) / T
+    elif constraint == "share_nonneg":
+        n, t = int(np.argmax(tau.sum(axis=1))), int(np.argmin(p))
+        tau[1 if n == 0 else 0, t] += tau[n, t] + factor * TOL_ZERO
+        tau[n, t] = -factor * TOL_ZERO
+    elif constraint == "slot_time":
+        tau[0, 0] += factor * inst.tol_time
+    else:  # min_share
+        old = tau[0].copy()
+        tau[0] *= (inst.epsilon_share - factor * TOL_ZERO) / old.sum()
+        tau[1] += old - tau[0]
+    return p, tau
+
+
+def accepts(fn, *args) -> bool:
+    """False when ``fn`` rejects its point as infeasible, True when it runs."""
+    try:
+        fn(*args)
+    except InfeasiblePointError:
+        return False
+    except NonconvergenceError:  # the short budget ran out after the checks
+        pass
+    return True
+
+
+class TestFeasibilityPolicy:
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize(
+        "constraint", ["power_nonneg", "energy_causality", "share_nonneg", "slot_time", "min_share"]
+    )
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(problem=block_problems())
+    def test_solvers_and_certifiers_follow_check_feasibility(self, problem, constraint, factor):
+        # a block's variable is accepted as the other block's fixed input,
+        # and by its own certifier, exactly when check_feasibility accepts it
+        inst, powers, shares = problem
+        assume(inst.n_slots >= 2 and inst.n_users >= 2)
+        on_bound = perturbed(inst, powers, shares, constraint, 0.0)
+        assume(not check_feasibility(inst, Schedule(*on_bound)))  # nothing else breaks
+        p, tau = perturbed(inst, powers, shares, constraint, factor)
+        quick = SolverConfig(max_inner_iters=1)
+        if constraint in ("power_nonneg", "energy_causality"):
+            verdicts = (
+                not _power_violations(inst, p),
+                accepts(solve_time, inst, p, quick),
+                accepts(kkt_residual_power, inst, tau, p),
+            )
+        else:
+            verdicts = (
+                not _share_violations(inst, tau),
+                accepts(solve_power, inst, tau, quick),
+                accepts(kkt_residual_time, inst, p, tau),
+            )
+        assert verdicts == (factor < 1,) * 3

@@ -202,6 +202,19 @@ class TestCheckFeasibility:
         assert slot[0].index == (1,)
         assert slot[0].magnitude == pytest.approx(1.0)
 
+    def test_violation_order(self):
+        # powers' signs, shares' signs, slot time, minimum share, then energy
+        inst = make_instance([0.5, 50.0], [19.0, 22.0], epsilon_share=4.5)
+        sched = Schedule([0.1, -0.5], [[-1.0, 5.0], [11.0, 4.0]])
+        got = [(v.constraint, v.index, v.magnitude) for v in check_feasibility(inst, sched)]
+        assert got == [
+            ("power_nonneg", (1,), pytest.approx(0.5)),
+            ("share_nonneg", (0, 0), pytest.approx(1.0)),
+            ("slot_time", (1,), pytest.approx(1.0)),
+            ("min_share", (0,), pytest.approx(0.5)),
+            ("energy_causality", (0,), pytest.approx(0.5)),
+        ]
+
     def test_fuzz_against_direct_reevaluation(self):
         rng = np.random.default_rng(23)
         for _ in range(300):

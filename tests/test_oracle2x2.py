@@ -168,3 +168,9 @@ class TestKktCheck2x2:
     def test_infeasible_shares_rejected(self, row1_instance):
         with pytest.raises(InfeasiblePointError):
             kkt_check_2x2(row1_instance, [0.05, 5.0], [[10.0, 10.0], [5.0, 5.0]])
+
+    def test_min_share_breach_rejected(self):
+        # signs and slot sums hold; only user 2's total share is below epsilon
+        inst = make_instance([0.5, 50.0], [19.0, 22.0], epsilon_share=1.0)
+        with pytest.raises(InfeasiblePointError):
+            kkt_check_2x2(inst, [0.05, 5.0], [[9.5, 10.0], [0.5, 0.0]])
