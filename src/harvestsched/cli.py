@@ -454,11 +454,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> SolverConfig:
-    return SolverConfig(
-        tol_kkt=args.tol_kkt,
-        tol_utility=args.tol_utility,
-        max_bcd_rounds=args.max_rounds,
-    )
+    try:
+        return SolverConfig(
+            tol_kkt=args.tol_kkt,
+            tol_utility=args.tol_utility,
+            max_bcd_rounds=args.max_rounds,
+        )
+    except ValueError as err:
+        raise ScenarioError(f"solver flags: {err}") from None
 
 
 def _users_value(args) -> int | None:

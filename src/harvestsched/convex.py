@@ -3,8 +3,10 @@
 With shares fixed, the power problem maximizes the log-sum utility under
 cumulative energy budgets; with powers fixed, the time problem maximizes it
 over per-slot share simplices.  Both are solved by one damped Newton method
-on a shrinking log-barrier, each block supplying its merit and Newton step,
-and every barrier stage ends on the Newton decrement.  The solver is
+on a shrinking log-barrier, each block supplying its merit and a Newton
+step whose barrier Hessian weight is an argument.  Every stage after the
+first opens with a predictor step, whose Hessian keeps the last stage's
+weight, and every stage ends on the Newton decrement.  The solver is
 deliberately decoupled from its certificate: every solution is checked
 through explicit KKT residuals whose multipliers are rebuilt from the
 candidate point alone, so any ascent scheme could be swapped in behind the
@@ -78,8 +80,8 @@ class SolverConfig:
     max_bcd_rounds: int = 200
 
     def __post_init__(self):
-        if not (self.tol_kkt > 0 and self.tol_utility > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_kkt < math.inf and 0 < self.tol_utility < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if not (self.max_inner_iters > 0 and self.max_bcd_rounds > 0):
             raise ValueError("iteration limits must be positive")
 
@@ -157,38 +159,44 @@ def _checked_powers(inst: Instance, p: np.ndarray) -> np.ndarray:
 def _step_to_boundary(*limits) -> float:
     """Fraction-to-the-boundary step length for ``(slack, rate)`` pairs.
 
-    Each slack falls at its rate along the step, so only positive rates
-    bound the step; the result stops short of the first slack to reach zero.
+    Each slack (strictly positive in the interior) falls at its rate along
+    the step; the result is at most 1.0 and stops short of the first slack
+    to reach zero.
     """
-    alpha = 1.0
-    for slack, rate in limits:
-        hit = rate > 0
-        if np.any(hit):
-            alpha = min(alpha, _BOUNDARY_FRAC * float((slack[hit] / rate[hit]).min()))
-    return alpha
+    worst = max(float((rate / slack).max()) for slack, rate in limits)
+    return _BOUNDARY_FRAC / max(worst, _BOUNDARY_FRAC)
 
 
 def _barrier_newton(x, cfg: SolverConfig, newton, merit, block: str):
     """Maximize a concave block by damped Newton on a shrinking log-barrier.
 
     ``merit(x, sigma)`` is the barrier objective (``-inf`` outside the
-    interior).  ``newton(x, sigma)`` returns ``(d, alpha_max, slope)``: the
-    Newton step, its largest interior step length and the merit slope along
-    it, which is the squared Newton decrement.  Each stage ends once the
-    slope is at most ``0.1 * sigma`` (Boyd & Vandenberghe 9.5.1, 11.3); the
-    barrier weight then falls tenfold until ``tol_kkt * ln2 / 100``.  Raises
+    interior).  ``newton(x, sigma, h_sigma)`` returns ``(d, alpha_max,
+    slope)``: the Newton step for weight ``sigma`` whose Hessian carries the
+    barrier weight ``h_sigma``, its largest interior step length and the
+    merit slope along it.  Each stage ends once the slope of its own Newton
+    step (``h_sigma == sigma``), the squared Newton decrement, is at most
+    ``0.1 * sigma`` (Boyd & Vandenberghe 9.5.1, 11.3); the barrier weight
+    then falls tenfold until ``tol_kkt * ln2 / 100``.  Every stage after the
+    first opens with one predictor step whose Hessian keeps the previous
+    weight: that is the primal-dual step with each bound's dual at the last
+    centre, ``sigma_prev / slack`` (B&V 11.7; Nocedal & Wright ch. 19), and
+    it carries a separable barrier term onto its new centre in one full
+    step, where the stage's own Hessian overshoots ninefold.  Raises
     :class:`NonconvergenceError` naming ``block``, with the slope at exit as
-    its residual, once ``max_inner_iters`` Newton steps are spent.
+    its residual, once ``max_inner_iters`` Newton steps (predictors
+    included) are spent.
     """
-    sigma = 1.0
+    sigma = h_sigma = 1.0
     sigma_final = cfg.tol_kkt * LN2 / 100.0
     iters = 0
     while True:
         base = merit(x, sigma)  # carried forward from each accepted step
         while True:
-            d, alpha, slope = newton(x, sigma)
-            if slope <= 0.1 * sigma:
+            d, alpha, slope = newton(x, sigma, h_sigma)
+            if h_sigma == sigma and slope <= 0.1 * sigma:
                 break
+            h_sigma = sigma
             iters += 1
             if iters > cfg.max_inner_iters:
                 raise NonconvergenceError(
@@ -205,7 +213,7 @@ def _barrier_newton(x, cfg: SolverConfig, newton, merit, block: str):
                 alpha *= _STEP_SHRINK
         if sigma <= sigma_final:
             return x
-        sigma = max(sigma * 0.1, sigma_final)
+        h_sigma, sigma = sigma, max(sigma * 0.1, sigma_final)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +252,10 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initia
             return -math.inf
         return float(np.log(bits).sum() + sigma * np.log(x).sum())
 
-    def newton(x, sigma):
+    def newton(x, sigma, h_sigma):
         A = _bits_per_user(rates, x)
         grad = rates / A[:, None] + sigma / x
-        d = _newton_step_time(rates, x, A, grad, sigma)
+        d = _newton_step_time(rates, x, A, grad, h_sigma)
         return d, _step_to_boundary((x, -d)), float((grad * d).sum())
 
     tau = _barrier_newton(tau, cfg, newton, merit, "time")
@@ -279,7 +287,7 @@ def _newton_step_time(rates, tau, A, grad, sigma):
     w = d_inv * u
     c = 1.0 / (1.0 + (u * w).sum(axis=1))
     S = -(w.T * c) @ w
-    S[np.diag_indices(K)] += d_inv.sum(axis=0)
+    S.flat[::K + 1] += d_inv.sum(axis=0)
 
     def apply_m(a):  # M_n a_n for every user n (row)
         return d_inv * a - (c * (w * a).sum(axis=1))[:, None] * w
@@ -360,12 +368,16 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
     tau_f = tau[:, free]
     C_f = C[free]
 
+    last = [None, None]  # the last point parts() saw, and its parts
+
     def parts(p):
         # pinned zero-power slots contribute zero rate, so bits come from
-        # the free slots alone
-        A = (tau_f * np.log1p(np.outer(L, p))).sum(axis=1) * (W / LN2)
-        slack = C_f - T * np.cumsum(p)
-        return A, slack
+        # the free slots alone; newton() reuses what merit() computed for
+        # the accepted iterate
+        if last[0] is not p:
+            A = (tau_f * np.log1p(np.outer(L, p))).sum(axis=1) * (W / LN2)
+            last[:] = p, (A, C_f - T * np.cumsum(p))
+        return last[1]
 
     def merit(p, sigma):
         if np.any(p <= 0):
@@ -379,7 +391,7 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
     idx = np.arange(m)
     pair_max = np.maximum.outer(idx, idx)
 
-    def newton(p, sigma):
+    def newton(p, sigma, h_sigma):
         A, slack = parts(p)
         denom = 1.0 + np.outer(L, p)
         a = tau_f * (W / LN2) * L[:, None] / denom
@@ -389,9 +401,9 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
         grad = M.sum(axis=0) + sigma / p - sigma * T * suffix
         H = -(M.T @ M)
         b = a * L[:, None] / denom
-        H[np.diag_indices(m)] -= (b / A[:, None]).sum(axis=0) + sigma / p**2
+        H.flat[::m + 1] -= (b / A[:, None]).sum(axis=0) + h_sigma / p**2
         suffix_sq = np.cumsum((inv_slack**2)[::-1])[::-1]
-        H -= sigma * T * T * suffix_sq[pair_max]
+        H -= h_sigma * T * T * suffix_sq[pair_max]
         d = np.linalg.solve(H, -grad)
         alpha = _step_to_boundary((p, -d), (slack, T * np.cumsum(d)))
         return d, alpha, float(grad @ d)

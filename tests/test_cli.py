@@ -313,3 +313,15 @@ class TestMain:
         )
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol-kkt", "inf"], ["--tol-kkt", "-1"], ["--tol-utility", "nan"], ["--max-rounds", "0"]],
+    )
+    def test_bad_solver_flags_exit_1(self, flags, capsys):
+        # an infinite --tol-kkt once ran bcd to an uncertified point with
+        # status ok; the others escaped main as ValueError tracebacks
+        assert main(["compare", "--scenario", "bursty", "--users", "3", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: solver flags: ")
+        assert captured.out == ""

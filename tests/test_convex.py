@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from harvestsched import (
@@ -22,10 +24,13 @@ from harvestsched.convex import (
     InfeasiblePointError,
     InfeasibleStartError,
     NonconvergenceError,
+    _barrier_newton,
     _newton_step_time,
+    _step_to_boundary,
 )
 from harvestsched.cli import HARVEST_PROFILES, builtin_scenario
 from harvestsched.model import LN2, TOL_ZERO, _power_violations, _share_violations, rate_matrix
+from harvestsched.structure import staircase_powers
 
 from conftest import SLOT_S, grid_search_2x2, make_instance
 
@@ -48,6 +53,14 @@ class TestSolverConfig:
             SolverConfig(tol_kkt=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_bcd_rounds=0)
+
+    @pytest.mark.parametrize("field", ["tol_kkt", "tol_utility"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_tolerances_must_be_finite_and_positive(self, field, value):
+        # an infinite tol_kkt made the barrier's final weight infinite, so it
+        # returned after its first stage with an uncertified point
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverConfig(**{field: value})
 
 
 class TestSolvePower:
@@ -297,6 +310,88 @@ class TestTimeNewtonStep:
         tau, res = solve_time(inst, sg_tdma(inst).powers_p)
         assert orders and max(orders) <= inst.n_slots
         assert res.certified(1e-6)
+
+
+class TestBarrierNewton:
+    # Newton solves per block call on the 8-user moderate frames, bounded
+    # between the counts without the stage-opening predictor (power 75/70/67,
+    # time 138/120/126) and with it (52/44/40, 116/94/84)
+    SOLVE_BOUNDS = {
+        "regular": {"power": 63, "time": 127},
+        "bursty": {"power": 57, "time": 107},
+        "very-bursty": {"power": 53, "time": 105},
+    }
+
+    @pytest.mark.parametrize("block", ["power", "time"])
+    @pytest.mark.parametrize("profile", list(HARVEST_PROFILES))
+    def test_newton_solve_counts(self, profile, block, monkeypatch):
+        inst = builtin_scenario(profile, "moderate", 8).instance
+        solves = []
+        real_solve = np.linalg.solve
+
+        def counting_solve(*args, **kw):
+            solves.append(1)
+            return real_solve(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        if block == "power":
+            solve_power(inst, np.full((inst.n_users, inst.n_slots), inst.slot_length_t / inst.n_users))
+        else:
+            solve_time(inst, staircase_powers(inst))
+        assert len(solves) <= self.SOLVE_BOUNDS[profile][block]
+
+    def test_predictor_lands_on_next_centre(self):
+        # separable toy block -c.x + sigma sum(log x), centred at x = sigma / c;
+        # the stage's own Newton step from the last centre would land at
+        # -8x and be cut to alpha = 0.995 / 9
+        c = np.array([0.5, 2.0, 3.0])
+        calls = []
+
+        def merit(x, sigma):
+            if np.any(x <= 0):
+                return -math.inf
+            return float(-c @ x + sigma * np.log(x).sum())
+
+        def newton(x, sigma, h_sigma):
+            grad = -c + sigma / x
+            d = x * x / h_sigma * grad
+            alpha = _step_to_boundary((x, -d))
+            calls.append((x, sigma, h_sigma, alpha))
+            return d, alpha, float(grad @ d)
+
+        cfg = SolverConfig()
+        x = _barrier_newton(1.0 / c, cfg, newton, merit, "toy")
+        sigmas = [sigma for _, sigma, h_sigma, _ in calls if h_sigma == sigma]
+        assert sigmas[0] == 1.0 and sigmas[-1] == cfg.tol_kkt * LN2 / 100.0
+        # each stage after the first: one predictor, then the stop test holds
+        assert len(calls) == 2 * len(sigmas) - 1
+        for prev, pred, centred in zip(calls[::2], calls[1::2], calls[2::2]):
+            assert pred[2] == prev[1] and pred[3] == 1.0
+            # the predictor maps a rounding error at the last centre to nine
+            # times that relative error at the next, hence the loose rtol
+            np.testing.assert_allclose(centred[0], centred[1] / c, rtol=1e-6)
+        np.testing.assert_allclose(x, sigmas[-1] / c, rtol=1e-6)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(
+        st.lists(st.tuples(st.floats(1e-12, 1e12), st.floats(-1e12, 1e12)), min_size=1, max_size=6),
+        min_size=1, max_size=3,
+    ))
+    @example([[(1.0, -2.0), (3.0, 0.0)], [(0.5, -0.5)]])
+    def test_step_to_boundary_matches_masked_minimum(self, pairs):
+        limits = [tuple(np.array(col) for col in zip(*pair)) for pair in pairs]
+        alpha = _step_to_boundary(*limits)
+        masked = 1.0
+        for slack, rate in limits:
+            hit = rate > 0
+            if np.any(hit):
+                with np.errstate(over="ignore"):  # tiny rates: no bound
+                    masked = min(masked, 0.995 * float((slack[hit] / rate[hit]).min()))
+        assert abs(alpha - masked) <= 1e-15 * masked
+        if all(np.all(rate <= 0) for _, rate in limits):
+            assert alpha == 1.0
+        for slack, rate in limits:
+            assert np.all(slack - alpha * rate > 0)
 
 
 class TestKktResiduals:
