@@ -19,8 +19,9 @@ import numpy as np
 
 from .convex import NonconvergenceError, SolverConfig, bcd
 from .heuristics import pronto, ptf, sg_tdma
-from .model import Instance, Schedule, ScoreReport, improvement_pct, score
+from .model import Instance, Schedule, ScoreReport, check_feasibility, improvement_pct, score
 from .oracle2x2 import optimal_2x2
+from .structure import staircase_powers
 
 DEFAULT_BANDWIDTH_HZ = 1000.0
 DEFAULT_NOISE_W_PER_HZ = 1e-6
@@ -235,6 +236,9 @@ def _run_algorithm(inst: Instance, algorithm: str, cfg: SolverConfig, min_share:
     if algorithm == "pronto":
         return pronto(inst), ()
     if algorithm in ("bcd", "oracle2x2"):
+        if check_feasibility(inst, start):  # sg-tdma starves a user when N > K
+            shares = np.full((inst.n_users, inst.n_slots), inst.slot_length_t / inst.n_users)
+            start = Schedule(staircase_powers(inst), shares)
         sched, trace = bcd(inst, start, cfg)
         if algorithm == "oracle2x2":  # bcd's powers, closed-form shares
             sched = Schedule(sched.powers_p, optimal_2x2(inst, sched.powers_p).tau_star)

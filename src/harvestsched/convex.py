@@ -15,10 +15,10 @@ point, with the checks of ``model.check_feasibility`` for that variable, and
 raises :class:`InfeasiblePointError` on any violation.
 
 The time block's Newton system couples N users through K slot sums.  Each
-user's Hessian block is a diagonal plus a rank-one term, so Sherman-Morrison
-inverts it in O(K), and eliminating the shares leaves one K x K positive
-definite system for the slot prices, solved twice (once more for one step of
-iterative refinement).  A step costs O(N K^2 + K^3) rather than the
+user's Hessian block is a diagonal plus a rank-one term, so each slot price
+is a weighted average over its users; eliminating the prices leaves one
+N x N positive definite system, solved twice (once more for one step of
+iterative refinement).  A step costs O(N^2 K + N^3) rather than the
 O((N K + K)^3) of the assembled KKT matrix; see :func:`_newton_step_time`.
 The power block solves its dense K-order Newton system directly.
 
@@ -246,14 +246,16 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initia
             if np.all(blended > 0):
                 tau = blended
 
+    last = [None, None]  # the last point merit() saw and its bits, which newton() reuses
+
     def merit(x, sigma):
-        bits = _bits_per_user(rates, x)
-        if np.any(bits <= 0) or np.any(x <= 0):
+        last[:] = x, _bits_per_user(rates, x)
+        if np.any(last[1] <= 0) or np.any(x <= 0):
             return -math.inf
-        return float(np.log(bits).sum() + sigma * np.log(x).sum())
+        return float(np.log(last[1]).sum() + sigma * np.log(x).sum())
 
     def newton(x, sigma, h_sigma):
-        A = _bits_per_user(rates, x)
+        A = last[1] if last[0] is x else _bits_per_user(rates, x)
         grad = rates / A[:, None] + sigma / x
         d = _newton_step_time(rates, x, A, grad, h_sigma)
         return d, _step_to_boundary((x, -d)), float((grad * d).sum())
@@ -270,31 +272,33 @@ def _newton_step_time(rates, tau, A, grad, sigma):
     """Newton step of the time block by block elimination (B&V 10.4.2, C.4).
 
     The step ``d`` and slot prices ``nu`` solve ``H_n d_n + nu = -g_n`` for
-    every user n and ``sum_n d_n = 0``.  User n's Hessian block is
-    ``H_n = -(D_n + u_n u_n^T)`` with ``D_n = diag(sigma / tau_n^2)`` and
-    ``u_n = r_n / A_n``, so Sherman-Morrison inverts it in O(K):
-    ``M_n = -H_n^{-1} = D_n^{-1} - c_n w_n w_n^T`` with ``w_n = D_n^{-1} u_n``
-    and ``c_n = 1 / (1 + u_n^T w_n)``.  Then ``d_n = M_n (g_n + nu)``, and the
-    slot sums give the K x K positive definite system
-    ``S nu = -sum_n M_n g_n`` with ``S = sum_n M_n``.  ``S`` cancels badly at
-    small sigma (its diagonal and low-rank parts both grow as 1/sigma), so
-    one step of iterative refinement on the full KKT residual follows.  A
-    step costs O(N K^2 + K^3) and forms no matrix of order above K.
+    every user n and ``sum_n d_n = 0``, where ``H_n = -(D_n + u_n u_n^T)``,
+    ``D_n = diag(sigma / tau_n^2)`` and ``u_n = r_n / A_n``.  So ``d_n =
+    D_n^{-1} (g_n + nu - u_n s_n)`` with ``s_n = u_n^T d_n``, each slot sum
+    makes ``nu_t`` a ``D^{-1}``-weighted average over slot t's users, and
+    ``s`` solves an N x N system ``G = I + sum_t U_t (D_t^{-1} - delta_t
+    delta_t^T / 1^T delta_t) U_t >= I``, with ``U_t = diag(u_t)`` and
+    ``delta_t`` slot t's ``D^{-1}``.  Both terms of its diagonal grow as
+    1/sigma, so it sums each slot's ``D^{-1}`` over the *other* users instead
+    of cancelling them.  LU solves ``G`` twice, the second time for one step
+    of iterative refinement on the full KKT residual; ``G``'s explicit
+    inverse loses accuracy at small sigma.  A step costs O(N^2 K + N^3).
     """
-    K = tau.shape[1]
+    N = tau.shape[0]
     u = rates / A[:, None]
     d_inv = tau * tau / sigma
     w = d_inv * u
-    c = 1.0 / (1.0 + (u * w).sum(axis=1))
-    S = -(w.T * c) @ w
-    S.flat[::K + 1] += d_inv.sum(axis=0)
-
-    def apply_m(a):  # M_n a_n for every user n (row)
-        return d_inv * a - (c * (w * a).sum(axis=1))[:, None] * w
+    total = d_inv.sum(axis=0)
+    w_avg = w / total
+    others = (1.0 - np.eye(N)) @ d_inv  # each slot's d_inv over the other users
+    G = w_avg @ -w.T
+    G.flat[::N + 1] = 1.0 + (w_avg * u * others).sum(axis=1)
 
     def solve(a, b):  # H_n x_n + y = a_n for all n, sum_n x_n = b
-        y = np.linalg.solve(S, b + apply_m(a).sum(axis=0))
-        return apply_m(y - a), y
+        y = (b + (d_inv * a).sum(axis=0)) / total
+        s = np.linalg.solve(G, (w * (y - a)).sum(axis=1))
+        y = y + s @ w_avg
+        return d_inv * (y - a) - w * s[:, None], y
 
     d, nu = solve(-grad, 0.0)
     top = d / d_inv + u * (u * d).sum(axis=1)[:, None] - grad - nu  # -g - H d - nu

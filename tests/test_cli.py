@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from harvestsched import improvement_pct, kkt_residual_power, kkt_residual_time
+from harvestsched import (
+    Schedule,
+    check_feasibility,
+    improvement_pct,
+    kkt_residual_power,
+    kkt_residual_time,
+    score,
+)
 from harvestsched.cli import (
     CSV_HEADER,
     HARVEST_PROFILES,
@@ -21,6 +28,7 @@ from harvestsched.cli import (
     scenario_text,
     sweep_users,
 )
+from harvestsched.structure import staircase_powers
 
 from conftest import oracle_utility
 
@@ -193,6 +201,25 @@ class TestRunCompare:
         inst, sched, tol = scen.instance, rec.schedule, scen.config.tol_kkt
         assert kkt_residual_time(inst, sched.powers_p, sched.shares_tau).max_residual <= tol
         assert kkt_residual_power(inst, sched.shares_tau, sched.powers_p).max_residual <= tol
+
+    @pytest.mark.parametrize("users", [9, 12])
+    def test_bcd_row_when_baseline_starves_a_user(self, users):
+        # with N > K sg-tdma leaves a user without time, so bcd starts from
+        # the staircase powers with equal shares instead of raising
+        scen = builtin_scenario("very-bursty", "moderate", users)
+        inst = scen.instance
+        records = compare(scen)
+        assert check_feasibility(inst, records[0].schedule)
+        rec = records[-1]
+        assert (rec.algorithm, rec.status, rec.warnings) == ("bcd", "ok", ())
+        assert not check_feasibility(inst, rec.schedule)
+        assert math.isfinite(rec.report.utility_u)
+        # no heuristic is feasible here, so also hold bcd to its own start
+        shares = np.full((users, inst.n_slots), inst.slot_length_t / users)
+        assert rec.report.utility_u >= score(inst, Schedule(staircase_powers(inst), shares)).utility_u
+        for heur in records[:-1]:
+            if heur.schedule is not None and not check_feasibility(inst, heur.schedule):
+                assert rec.report.utility_u >= heur.report.utility_u
 
     def test_bench_batch_shape(self):
         scens = bench_2x2_scenarios()

@@ -261,6 +261,8 @@ STEP_INSTANCES = {
     "frame16x12-b": lambda: random_frame(4, 16, 12),
     "one-user": lambda: make_instance([5.0, 20.0, 1.0], [19.0]),
     "one-slot": lambda: make_instance([30.0], [19.0, 22.0, 25.0]),
+    "frame4x12": lambda: random_frame(6, 4, 12),
+    "frame8x9": lambda: random_frame(7, 8, 9),
 }
 
 
@@ -297,7 +299,7 @@ class TestTimeNewtonStep:
                     scale = max(np.abs(ref).max(), 1e-6 * T)  # one user: both are ~0
                     assert np.abs(d - ref).max() <= tol * scale, (zero_slot, alpha, sigma)
 
-    def test_solves_no_system_above_order_k(self, monkeypatch):
+    def test_solves_no_system_above_order_n(self, monkeypatch):
         inst = random_frame(5, 24, 16)
         orders = []
         real_solve = np.linalg.solve
@@ -308,7 +310,7 @@ class TestTimeNewtonStep:
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         tau, res = solve_time(inst, sg_tdma(inst).powers_p)
-        assert orders and max(orders) <= inst.n_slots
+        assert orders and max(orders) <= inst.n_users
         assert res.certified(1e-6)
 
 
