@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convex import NonconvergenceError, SolverConfig, bcd
+from .convex import SolverConfig, bcd
 from .heuristics import pronto, ptf, sg_tdma
 from .model import Instance, Schedule, ScoreReport, check_feasibility, improvement_pct, score
 from .oracle2x2 import optimal_2x2
@@ -101,10 +101,8 @@ def parse_scenario(text: str) -> Scenario:
     by position.  Unset physics keys fall back to W=1 kHz, N0=1e-6 W/Hz,
     T=10 s.
     """
-    w = DEFAULT_BANDWIDTH_HZ
-    n0 = DEFAULT_NOISE_W_PER_HZ
-    slot = DEFAULT_SLOT_S
-    epsilon = None
+    physics = {"W": DEFAULT_BANDWIDTH_HZ, "N0": DEFAULT_NOISE_W_PER_HZ, "T": DEFAULT_SLOT_S,
+               "EPSILON": None}
     harvests = None
     harvest_name = None
     losses = None
@@ -120,37 +118,23 @@ def parse_scenario(text: str) -> Scenario:
         parts = line.split()
         key, values = parts[0].upper(), parts[1:]
 
-        def one_float(what: str) -> float:
-            if len(values) != 1:
-                raise ScenarioError(f"line {lineno}: {what} expects one value")
-            try:
-                return float(values[0])
-            except ValueError:
-                raise ScenarioError(f"line {lineno}: bad number {values[0]!r}") from None
-
-        if key == "W":
-            w = one_float("W")
-        elif key == "N0":
-            n0 = one_float("N0")
-        elif key == "T":
-            slot = one_float("T")
-        elif key == "EPSILON":
-            epsilon = one_float("EPSILON")
-        elif key == "HARVESTS":
+        def floats(what: str) -> tuple:
             if not values:
-                raise ScenarioError(f"line {lineno}: HARVESTS expects a list of Joules")
+                raise ScenarioError(f"line {lineno}: {key} expects {what}")
             try:
-                harvests = tuple(float(v) for v in values)
+                return tuple(float(v) for v in values)
             except ValueError:
-                raise ScenarioError(f"line {lineno}: bad number in HARVESTS") from None
+                raise ScenarioError(f"line {lineno}: bad number in {key}") from None
+
+        if key in physics:
+            if len(values) != 1:
+                raise ScenarioError(f"line {lineno}: {key} expects one value")
+            physics[key] = floats("one value")[0]
+        elif key == "HARVESTS":
+            harvests = floats("a list of Joules")
             harvest_name = None
         elif key == "PATHLOSS_DB":
-            if not values:
-                raise ScenarioError(f"line {lineno}: PATHLOSS_DB expects a list of dB values")
-            try:
-                losses = tuple(float(v) for v in values)
-            except ValueError:
-                raise ScenarioError(f"line {lineno}: bad number in PATHLOSS_DB") from None
+            losses = floats("a list of dB values")
             order["losses"] = lineno
         elif key == "SCENARIO":
             if len(values) != 1 or values[0].lower() not in HARVEST_PROFILES:
@@ -192,7 +176,8 @@ def parse_scenario(text: str) -> Scenario:
             f"USERS {users} does not match the {len(losses)} entries of PATHLOSS_DB"
         )
     try:
-        inst = Instance(w, n0, slot, harvests, losses, epsilon_share=epsilon)
+        inst = Instance(physics["W"], physics["N0"], physics["T"], harvests, losses,
+                        epsilon_share=physics["EPSILON"])
     except ValueError as err:
         raise ScenarioError(str(err)) from None
     return Scenario(
@@ -254,6 +239,14 @@ def _baseline(inst: Instance):
     return sched, report, (time.perf_counter() - start) * 1e3
 
 
+def _improvement(value: float, baseline: float) -> float:
+    """:func:`improvement_pct`, or nan against a zero or non-finite baseline."""
+    try:
+        return improvement_pct(value, baseline)
+    except ValueError:
+        return math.nan
+
+
 def _record(scenario: Scenario, algorithm: str, min_share: bool, base) -> RunRecord:
     """One algorithm's record, scored against ``base`` from :func:`_baseline`."""
     inst = scenario.instance
@@ -268,7 +261,7 @@ def _record(scenario: Scenario, algorithm: str, min_share: bool, base) -> RunRec
                                              base_sched)
             report = score(inst, sched)
             status = "ok"
-        except (ValueError, NonconvergenceError) as err:
+        except ValueError as err:
             sched, report, status = None, None, f"error: {err}"
         wall_ms = (time.perf_counter() - start) * 1e3
 
@@ -277,14 +270,8 @@ def _record(scenario: Scenario, algorithm: str, min_share: bool, base) -> RunRec
     elif algorithm == "sg-tdma":
         util_impr = tput_impr = 0.0
     else:
-        try:
-            util_impr = improvement_pct(report.utility_u, baseline.utility_u)
-        except ValueError:
-            util_impr = math.nan
-        try:
-            tput_impr = improvement_pct(report.total_bits, baseline.total_bits)
-        except ValueError:
-            tput_impr = math.nan
+        util_impr = _improvement(report.utility_u, baseline.utility_u)
+        tput_impr = _improvement(report.total_bits, baseline.total_bits)
     return RunRecord(
         scenario=scenario.label,
         case=scenario.pathloss_case or "",
@@ -385,51 +372,35 @@ def emit(records, fmt: str) -> str:
         raise ValueError("no records to emit")
     if fmt == "csv":
         lines = [CSV_HEADER]
-        for r in records:
-            u = r.report.utility_u if r.report else math.nan
-            b = r.report.total_bits if r.report else math.nan
-            j = r.report.jain_fi if r.report else math.nan
-            lines.append(
-                ",".join(
-                    [
-                        r.scenario,
-                        r.case,
-                        str(r.users),
-                        r.algorithm,
-                        _fmt(u),
-                        _fmt(b),
-                        _fmt(j),
-                        _fmt(r.utility_improvement_pct),
-                        _fmt(r.throughput_improvement_pct),
-                        _fmt(r.wall_ms),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "table":
+    elif fmt == "table":
         header = (
             f"{'scenario':<24} {'case':<9} {'N':>2} {'algorithm':<9} "
             f"{'utility':>12} {'total_bits':>14} {'jain':>8} "
             f"{'u_impr%':>9} {'t_impr%':>9} {'wall_ms':>9}  status"
         )
         lines = [header, "-" * len(header)]
-        for r in records:
-            u = r.report.utility_u if r.report else math.nan
-            b = r.report.total_bits if r.report else math.nan
-            j = r.report.jain_fi if r.report else math.nan
-            feas = ""
-            if r.report is not None and not r.report.feasible:
-                feas = " [infeasible: " + ",".join(
-                    sorted({v.constraint for v in r.report.violations})
-                ) + "]"
-            lines.append(
-                f"{r.scenario:<24} {r.case:<9} {r.users:>2} {r.algorithm:<9} "
-                f"{u:>12.4f} {b:>14.1f} {j:>8.4f} "
-                f"{r.utility_improvement_pct:>9.3f} {r.throughput_improvement_pct:>9.3f} "
-                f"{r.wall_ms:>9.2f}  {r.status}{feas}"
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown output format {fmt!r}")
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
+    for r in records:
+        rep = r.report
+        u, b, j = (rep.utility_u, rep.total_bits, rep.jain_fi) if rep else (math.nan,) * 3
+        if fmt == "csv":
+            lines.append(",".join([
+                r.scenario, r.case, str(r.users), r.algorithm,
+                *map(_fmt, (u, b, j, r.utility_improvement_pct,
+                            r.throughput_improvement_pct, r.wall_ms)),
+            ]))
+            continue
+        feas = ""
+        if rep is not None and not rep.feasible:
+            feas = " [infeasible: " + ",".join(sorted({v.constraint for v in rep.violations})) + "]"
+        lines.append(
+            f"{r.scenario:<24} {r.case:<9} {r.users:>2} {r.algorithm:<9} "
+            f"{u:>12.4f} {b:>14.1f} {j:>8.4f} "
+            f"{r.utility_improvement_pct:>9.3f} {r.throughput_improvement_pct:>9.3f} "
+            f"{r.wall_ms:>9.2f}  {r.status}{feas}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +506,7 @@ def main(argv=None) -> int:
                 else:
                     records.extend(compare(scen, args.min_share))
         sys.stdout.write(emit(records, args.out))
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (ScenarioError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if any(r.warnings for r in records):

@@ -3,10 +3,13 @@
 With shares fixed, the power problem maximizes the log-sum utility under
 cumulative energy budgets; with powers fixed, the time problem maximizes it
 over per-slot share simplices.  Both are solved by one damped Newton method
-on a shrinking log-barrier, each block supplying its merit and a Newton
-step whose barrier Hessian weight is an argument.  Every stage after the
-first opens with a predictor step, whose Hessian keeps the last stage's
-weight, and every stage ends on the Newton decrement.  The solver is
+on a shrinking log-barrier.  The driver owns the barrier: it evaluates the
+merit, tests the interior and bounds each step.  Each block supplies its
+users' bits and the slacks the barrier keeps positive at a point, and a
+Newton step whose barrier Hessian weight is an argument, with the rate at
+which each slack falls along it.  Every stage after the first opens with a
+predictor step, whose Hessian keeps the last stage's weight, and every
+stage ends on the Newton decrement.  The solver is
 deliberately decoupled from its certificate: every solution is checked
 through explicit KKT residuals whose multipliers are rebuilt from the
 candidate point alone, so any ascent scheme could be swapped in behind the
@@ -167,33 +170,48 @@ def _step_to_boundary(*limits) -> float:
     return _BOUNDARY_FRAC / max(worst, _BOUNDARY_FRAC)
 
 
-def _barrier_newton(x, cfg: SolverConfig, newton, merit, block: str):
+def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str):
     """Maximize a concave block by damped Newton on a shrinking log-barrier.
 
-    ``merit(x, sigma)`` is the barrier objective (``-inf`` outside the
-    interior).  ``newton(x, sigma, h_sigma)`` returns ``(d, alpha_max,
-    slope)``: the Newton step for weight ``sigma`` whose Hessian carries the
-    barrier weight ``h_sigma``, its largest interior step length and the
-    merit slope along it.  Each stage ends once the slope of its own Newton
-    step (``h_sigma == sigma``), the squared Newton decrement, is at most
-    ``0.1 * sigma`` (Boyd & Vandenberghe 9.5.1, 11.3); the barrier weight
-    then falls tenfold until ``tol_kkt * ln2 / 100``.  Every stage after the
-    first opens with one predictor step whose Hessian keeps the previous
-    weight: that is the primal-dual step with each bound's dual at the last
-    centre, ``sigma_prev / slack`` (B&V 11.7; Nocedal & Wright ch. 19), and
-    it carries a separable barrier term onto its new centre in one full
-    step, where the stage's own Hessian overshoots ninefold.  Raises
+    ``parts(x)`` returns ``(A, slacks)``: the users' bits and the tuple of
+    arrays the barrier keeps positive.  The merit for weight ``sigma``,
+    ``sum(log A) + sigma * sum(log s)`` over the slacks (B&V 11.3), is
+    ``-inf`` outside the interior; ``parts`` runs once per tried point and
+    the accepted iterate's are kept.  ``newton(x, A, slacks, sigma,
+    h_sigma)`` returns ``(d, rates, slope)``: the Newton step for weight
+    ``sigma`` whose Hessian carries the barrier weight ``h_sigma``, the rate
+    at which each slack falls along it, and the merit slope.  Each stage
+    ends once the slope of its own Newton step (``h_sigma == sigma``), the
+    squared Newton decrement, is at most ``0.1 * sigma`` (B&V 9.5.1); the
+    weight then falls tenfold until ``tol_kkt * ln2 / 100``.  Every stage
+    after the first opens with one predictor step whose Hessian keeps the
+    previous weight: that is the primal-dual step with each bound's dual at
+    the last centre, ``sigma_prev / slack`` (B&V 11.7; Nocedal & Wright ch.
+    19), and it carries a separable barrier term onto its new centre in one
+    full step, where the stage's own Hessian overshoots ninefold.  Raises
     :class:`NonconvergenceError` naming ``block``, with the slope at exit as
     its residual, once ``max_inner_iters`` Newton steps (predictors
     included) are spent.
     """
+
+    def merit(A, slacks, sigma):
+        if np.any(A <= 0):
+            return -math.inf
+        val = np.log(A).sum()
+        for s in slacks:
+            if np.any(s <= 0):
+                return -math.inf
+            val = val + sigma * np.log(s).sum()
+        return float(val)
+
     sigma = h_sigma = 1.0
     sigma_final = cfg.tol_kkt * LN2 / 100.0
     iters = 0
+    A, slacks = parts(x)  # the accepted iterate's parts
     while True:
-        base = merit(x, sigma)  # carried forward from each accepted step
+        base = merit(A, slacks, sigma)
         while True:
-            d, alpha, slope = newton(x, sigma, h_sigma)
+            d, rates, slope = newton(x, A, slacks, sigma, h_sigma)
             if h_sigma == sigma and slope <= 0.1 * sigma:
                 break
             h_sigma = sigma
@@ -204,11 +222,13 @@ def _barrier_newton(x, cfg: SolverConfig, newton, merit, block: str):
                     best=x,
                     residual=float(slope),
                 )
+            alpha = _step_to_boundary(*zip(slacks, rates))
             while alpha > 1e-16:
                 cand = x + alpha * d
-                val = merit(cand, sigma)
+                cand_A, cand_slacks = parts(cand)
+                val = merit(cand_A, cand_slacks, sigma)
                 if val >= base + _ARMIJO * alpha * slope:
-                    x, base = cand, val
+                    x, A, slacks, base = cand, cand_A, cand_slacks, val
                     break
                 alpha *= _STEP_SHRINK
         if sigma <= sigma_final:
@@ -246,21 +266,12 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initia
             if np.all(blended > 0):
                 tau = blended
 
-    last = [None, None]  # the last point merit() saw and its bits, which newton() reuses
-
-    def merit(x, sigma):
-        last[:] = x, _bits_per_user(rates, x)
-        if np.any(last[1] <= 0) or np.any(x <= 0):
-            return -math.inf
-        return float(np.log(last[1]).sum() + sigma * np.log(x).sum())
-
-    def newton(x, sigma, h_sigma):
-        A = last[1] if last[0] is x else _bits_per_user(rates, x)
+    def newton(x, A, slacks, sigma, h_sigma):
         grad = rates / A[:, None] + sigma / x
         d = _newton_step_time(rates, x, A, grad, h_sigma)
-        return d, _step_to_boundary((x, -d)), float((grad * d).sum())
+        return d, (-d,), float((grad * d).sum())
 
-    tau = _barrier_newton(tau, cfg, newton, merit, "time")
+    tau = _barrier_newton(tau, cfg, lambda x: (_bits_per_user(rates, x), (x,)), newton, "time")
     tau = tau * (T / tau.sum(axis=0, keepdims=True))  # exact slot sums
     # certify through the reconstruction path: it rebuilds multipliers from
     # the point alone, which stays accurate even when binding constraints
@@ -372,49 +383,32 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
     tau_f = tau[:, free]
     C_f = C[free]
 
-    last = [None, None]  # the last point parts() saw, and its parts
-
     def parts(p):
         # pinned zero-power slots contribute zero rate, so bits come from
-        # the free slots alone; newton() reuses what merit() computed for
-        # the accepted iterate
-        if last[0] is not p:
-            A = (tau_f * np.log1p(np.outer(L, p))).sum(axis=1) * (W / LN2)
-            last[:] = p, (A, C_f - T * np.cumsum(p))
-        return last[1]
+        # the free slots alone
+        A = (tau_f * np.log1p(np.outer(L, p))).sum(axis=1) * (W / LN2)
+        return A, (p, C_f - T * np.cumsum(p))
 
-    def merit(p, sigma):
-        if np.any(p <= 0):
-            return -math.inf
-        A, slack = parts(p)
-        if np.any(A <= 0) or np.any(slack <= 0):
-            return -math.inf
-        return float(np.log(A).sum() + sigma * np.log(p).sum() + sigma * np.log(slack).sum())
-
-    m = K - t0
-    idx = np.arange(m)
-    pair_max = np.maximum.outer(idx, idx)
-
-    def newton(p, sigma, h_sigma):
-        A, slack = parts(p)
+    def newton(p, A, slacks, sigma, h_sigma):
         denom = 1.0 + np.outer(L, p)
         a = tau_f * (W / LN2) * L[:, None] / denom
         M = a / A[:, None]
-        inv_slack = 1.0 / slack
+        inv_slack = 1.0 / slacks[1]
         suffix = np.cumsum(inv_slack[::-1])[::-1]
         grad = M.sum(axis=0) + sigma / p - sigma * T * suffix
         H = -(M.T @ M)
         b = a * L[:, None] / denom
-        H.flat[::m + 1] -= (b / A[:, None]).sum(axis=0) + h_sigma / p**2
+        H.flat[::p.size + 1] -= (b / A[:, None]).sum(axis=0) + h_sigma / p**2
+        # a reversed cumsum of nonnegative terms is nonincreasing, so its
+        # value at max(i, j) is the smaller of the two
         suffix_sq = np.cumsum((inv_slack**2)[::-1])[::-1]
-        H -= h_sigma * T * T * suffix_sq[pair_max]
+        H -= h_sigma * T * T * np.minimum.outer(suffix_sq, suffix_sq)
         d = np.linalg.solve(H, -grad)
-        alpha = _step_to_boundary((p, -d), (slack, T * np.cumsum(d)))
-        return d, alpha, float(grad @ d)
+        return d, (-d, T * np.cumsum(d)), float(grad @ d)
 
     pinned = np.zeros(t0)
     try:
-        p_full = np.concatenate([pinned, _barrier_newton(p_free, cfg, newton, merit, "power")])
+        p_full = np.concatenate([pinned, _barrier_newton(p_free, cfg, parts, newton, "power")])
     except NonconvergenceError as err:
         err.best = np.concatenate([pinned, err.best])
         raise

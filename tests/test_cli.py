@@ -75,6 +75,16 @@ class TestParseScenario:
         with pytest.raises(ScenarioError):
             parse_scenario("T 10\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("W 1 2", "line 2: W expects one value"),
+        ("N0 x", "line 2: bad number in N0"),
+        ("HARVESTS", "line 2: HARVESTS expects a list of Joules"),
+        ("PATHLOSS_DB 19 x", "line 2: bad number in PATHLOSS_DB"),
+    ])
+    def test_number_errors_name_key_and_line(self, line, message):
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario("T 10\n" + line + "\n")
+
     def test_epsilon_key(self):
         scen = parse_scenario("HARVESTS 1\nPATHLOSS_DB 19\nEPSILON 1e-6\n")
         assert scen.instance.epsilon_share == 1e-6

@@ -19,6 +19,7 @@ from harvestsched import (
     solve_time,
     sort_schedule_nondecreasing,
 )
+from harvestsched import convex
 from harvestsched.convex import (
     DegenerateShareError,
     InfeasiblePointError,
@@ -349,20 +350,14 @@ class TestBarrierNewton:
         c = np.array([0.5, 2.0, 3.0])
         calls = []
 
-        def merit(x, sigma):
-            if np.any(x <= 0):
-                return -math.inf
-            return float(-c @ x + sigma * np.log(x).sum())
-
-        def newton(x, sigma, h_sigma):
+        def newton(x, A, slacks, sigma, h_sigma):
             grad = -c + sigma / x
             d = x * x / h_sigma * grad
-            alpha = _step_to_boundary((x, -d))
-            calls.append((x, sigma, h_sigma, alpha))
-            return d, alpha, float(grad @ d)
+            calls.append((x, sigma, h_sigma, _step_to_boundary((x, -d))))
+            return d, (-d,), float(grad @ d)
 
         cfg = SolverConfig()
-        x = _barrier_newton(1.0 / c, cfg, newton, merit, "toy")
+        x = _barrier_newton(1.0 / c, cfg, lambda x: (np.exp(-c * x), (x,)), newton, "toy")
         sigmas = [sigma for _, sigma, h_sigma, _ in calls if h_sigma == sigma]
         assert sigmas[0] == 1.0 and sigmas[-1] == cfg.tol_kkt * LN2 / 100.0
         # each stage after the first: one predictor, then the stop test holds
@@ -373,6 +368,74 @@ class TestBarrierNewton:
             # times that relative error at the next, hence the loose rtol
             np.testing.assert_allclose(centred[0], centred[1] / c, rtol=1e-6)
         np.testing.assert_allclose(x, sigmas[-1] / c, rtol=1e-6)
+
+    def test_rejected_candidates_leave_the_iterate_parts(self):
+        # every candidate fails the Armijo test (it asks for a rise of 1e26
+        # alpha), so each Newton call must still see its own iterate's parts
+        c = np.array([0.5, 2.0, 3.0])
+        seen = []
+
+        def parts(x):
+            return np.exp(-c * x), (x,)
+
+        def newton(x, A, slacks, sigma, h_sigma):
+            fresh_A, (fresh_x,) = parts(x)
+            seen.append(np.array_equal(A, fresh_A) and np.array_equal(slacks[0], fresh_x))
+            d = 1e6 * x
+            return d, (-d,), 1e30
+
+        with pytest.raises(NonconvergenceError):
+            _barrier_newton(1.0 / c, SolverConfig(max_inner_iters=3), parts, newton, "toy")
+        assert seen == [True] * 4
+
+    @pytest.mark.parametrize("block", ["power", "time"])
+    @pytest.mark.parametrize("frame", [*HARVEST_PROFILES, "frame80x2"])
+    def test_newton_gets_parts_of_its_iterate(self, frame, block, monkeypatch):
+        # every Newton step must see the bits and slacks of its own iterate,
+        # never those of a rejected line-search candidate, and each tried
+        # point must cost one parts() call
+        if frame == "frame80x2":
+            inst = random_frame(1, 80, 2)
+        else:
+            inst = builtin_scenario(frame, "moderate", 8).instance
+        real_driver = convex._barrier_newton
+        events = []
+
+        def checking_driver(x, cfg, parts, newton, name):
+            def logged_parts(y):
+                events.append(("parts", y.copy()))
+                return parts(y)
+
+            def checked_newton(y, A, slacks, sigma, h_sigma):
+                fresh_A, fresh_slacks = parts(y)
+                assert np.array_equal(A, fresh_A)
+                assert len(slacks) == len(fresh_slacks)
+                assert all(np.array_equal(s, f) for s, f in zip(slacks, fresh_slacks))
+                d, rates, slope = newton(y, A, slacks, sigma, h_sigma)
+                events.append(("newton", y.copy(), d, _step_to_boundary(*zip(slacks, rates))))
+                return d, rates, slope
+
+            events.append(("start", x.copy()))
+            return real_driver(x, cfg, logged_parts, checked_newton, name)
+
+        monkeypatch.setattr(convex, "_barrier_newton", checking_driver)
+        if block == "power":
+            solve_power(inst, np.full((inst.n_users, inst.n_slots), inst.slot_length_t / inst.n_users))
+        else:
+            solve_time(inst, staircase_powers(inst))
+        # parts() runs once on the start, then once per candidate of each
+        # step: x + alpha d, alpha halving from the boundary step
+        (_, start), (kind, first), (kind_next, *_) = events[:3]
+        assert kind == "parts" and np.array_equal(first, start) and kind_next == "newton"
+        tried = 0
+        for event in events[2:]:
+            if event[0] == "newton":
+                _, x, d, alpha = event
+            else:
+                assert np.array_equal(event[1], x + alpha * d)
+                alpha *= 0.5
+                tried += 1
+        assert tried > 0
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.lists(
