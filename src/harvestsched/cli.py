@@ -187,26 +187,6 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def scenario_text(s: Scenario) -> str:
-    """Serialize a scenario back to the line format accepted by parse_scenario."""
-    lines = [
-        f"W {s.instance.bandwidth_w_hz:g}",
-        f"N0 {s.instance.noise_density_n0:g}",
-        f"T {s.instance.slot_length_t:g}",
-    ]
-    if s.label in HARVEST_PROFILES:
-        lines.append(f"SCENARIO {s.label}")
-    else:
-        lines.append("HARVESTS " + " ".join(f"{e:g}" for e in s.instance.harvests_e))
-    if s.pathloss_case is not None:
-        lines.append(f"CASE {s.pathloss_case}")
-        lines.append(f"USERS {s.instance.n_users}")
-    else:
-        lines.append("PATHLOSS_DB " + " ".join(f"{x:g}" for x in s.instance.path_loss_db))
-    lines.append(f"EPSILON {s.instance.epsilon_share:g}")
-    return "\n".join(lines) + "\n"
-
-
 def builtin_scenario(name: str, case: str, users: int, cfg: SolverConfig | None = None) -> Scenario:
     text = f"SCENARIO {name}\nCASE {case}\nUSERS {users}\n"
     scen = parse_scenario(text)
@@ -421,8 +401,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="user count, or A..B range for sweep")
     p.add_argument("--out", choices=("csv", "table"), default="table")
     defaults = SolverConfig()
-    p.add_argument("--tol-kkt", type=float, default=defaults.tol_kkt)
-    p.add_argument("--tol-utility", type=float, default=defaults.tol_utility)
+    p.add_argument("--tol-kkt", type=float, default=defaults.tol_kkt,
+                   help="KKT residual target of both blocks; bcd stops once both meet it")
+    p.add_argument("--tol-utility", type=float, default=defaults.tol_utility,
+                   help="bcd also stops once a whole round gains less utility than this")
     p.add_argument("--max-rounds", type=int, default=defaults.max_bcd_rounds)
     p.add_argument("--min-share", action="store_true",
                    help="grant starved users the minimum share after PTF")

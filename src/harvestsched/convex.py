@@ -27,7 +27,9 @@ The power block solves its dense K-order Newton system directly.
 
 The alternating driver runs the time block first, then the power block, and
 never accepts a half-step that lowers utility, so traces are monotone by
-construction.
+construction.  It stops once both block residuals at a round's point, which
+the trace keeps, are within ``tol_kkt`` (a block-stationary point) or the
+round gains less than ``tol_utility``.
 """
 from __future__ import annotations
 
@@ -111,13 +113,18 @@ class KktResidual:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class BcdTrace:
-    """Utility trajectory of one alternating run; utilities[0] is the start."""
+    """Utility trajectory of one alternating run; utilities[0] is the start.
+
+    ``residuals`` holds each round-end point's ``(time, power)`` KKT
+    ``max_residual`` floats, ``inf`` where a block cannot be certified.
+    """
 
     utilities: tuple
     rounds_used: int
     converged: bool
     warnings: tuple = ()
     schedules: tuple = ()
+    residuals: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +454,22 @@ def kkt_residual_power(inst: Instance, shares_tau, powers_p) -> KktResidual:
 # ---------------------------------------------------------------------------
 # alternating driver
 
+def _certify(certifier, inst: Instance, *point) -> KktResidual:
+    """``certifier`` at ``point``, or an ``inf`` residual where it cannot certify."""
+    try:
+        return certifier(inst, *point)
+    except ValueError:
+        return KktResidual(math.inf, {})
+
+
 def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     """Alternate the time and power blocks from a feasible start.
 
     Each round solves the time block first, then the power block, accepting a
-    half-step only when it improves utility; the run stops once a whole round
-    gains less than ``tol_utility`` or the round budget is exhausted.
+    half-step only when it improves utility, and certifies both blocks at its
+    point (``trace.residuals``).  The run converges once both residuals are
+    within ``tol_kkt`` (a block-stationary point; Tseng, JOTA 2001) or a round
+    gains less than ``tol_utility``, and otherwise ends on the round budget.
     Subsolver nonconvergence is downgraded to a trace warning and the best
     iterate is used.  Returns ``(schedule, BcdTrace)``; the schedule is
     ``trace.schedules[-1]``, and ``trace.schedules[0]`` is ``init`` itself
@@ -471,40 +488,48 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     utilities = [utility]
     schedules = [sched]
     warnings: list[str] = []
-    rounds = 0
-    converged = False
+    residuals: list[tuple[float, float]] = []
+    cert = [None, None]  # (time, power) certificates of sched; None once stale
     for rounds in range(1, cfg.max_bcd_rounds + 1):
         try:
-            tau_new, _ = solve_time(inst, sched.powers_p, cfg, initial_shares=sched.shares_tau)
+            tau_new, kkt = solve_time(inst, sched.powers_p, cfg, initial_shares=sched.shares_tau)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} time block: {err}")
-            tau_new = err.best
+            tau_new, kkt = err.best, None
         cand = Schedule(sched.powers_p, tau_new)
         u_new = score(inst, cand).utility_u
         if u_new > utility:
             sched, utility = cand, u_new
+            cert = [kkt, None]
 
         try:
-            p_new, _ = solve_power(inst, sched.shares_tau, cfg, initial_powers=sched.powers_p)
+            p_new, kkt = solve_power(inst, sched.shares_tau, cfg, initial_powers=sched.powers_p)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} power block: {err}")
-            p_new = err.best
+            p_new, kkt = err.best, None
         cand = Schedule(p_new, sched.shares_tau)
         u_new = score(inst, cand).utility_u
         if u_new > utility:
             sched, utility = cand, u_new
+            cert = [None, kkt]
 
+        if cert[0] is None:
+            cert[0] = _certify(kkt_residual_time, inst, sched.powers_p, sched.shares_tau)
+        if cert[1] is None:
+            cert[1] = _certify(kkt_residual_power, inst, sched.shares_tau, sched.powers_p)
+        residuals.append((cert[0].max_residual, cert[1].max_residual))
         utilities.append(utility)
         schedules.append(sched)
-        if utilities[-1] - utilities[-2] < cfg.tol_utility:
-            converged = True
+        converged = max(residuals[-1]) <= cfg.tol_kkt or utility - utilities[-2] < cfg.tol_utility
+        if converged:
             break
 
     trace = BcdTrace(
         utilities=tuple(utilities),
-        rounds_used=rounds,
+        rounds_used=len(residuals),
         converged=converged,
         warnings=tuple(warnings),
         schedules=tuple(schedules),
+        residuals=tuple(residuals),
     )
     return sched, trace

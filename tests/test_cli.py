@@ -25,7 +25,6 @@ from harvestsched.cli import (
     parse_scenario,
     pathloss_ladder,
     run,
-    scenario_text,
     sweep_users,
 )
 from harvestsched.structure import staircase_powers
@@ -88,19 +87,6 @@ class TestParseScenario:
     def test_epsilon_key(self):
         scen = parse_scenario("HARVESTS 1\nPATHLOSS_DB 19\nEPSILON 1e-6\n")
         assert scen.instance.epsilon_share == 1e-6
-
-    def test_round_trip_builtins(self):
-        for name in HARVEST_PROFILES:
-            for case in PATHLOSS_START_DB:
-                scen = builtin_scenario(name, case, 4)
-                back = parse_scenario(scenario_text(scen))
-                assert back.label == scen.label
-                assert back.pathloss_case == scen.pathloss_case
-                np.testing.assert_array_equal(back.instance.harvests_e, scen.instance.harvests_e)
-                np.testing.assert_array_equal(
-                    back.instance.path_loss_db, scen.instance.path_loss_db
-                )
-                assert back.instance.epsilon_share == scen.instance.epsilon_share
 
     def test_ladders(self):
         np.testing.assert_allclose(pathloss_ladder("low", 3), [13.0, 16.0, 19.0])

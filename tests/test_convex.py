@@ -13,6 +13,7 @@ from harvestsched import (
     kkt_residual_power,
     kkt_residual_time,
     power_utility_gradient,
+    ptf,
     score,
     sg_tdma,
     solve_power,
@@ -563,6 +564,53 @@ class TestBcd:
             init = sg_tdma(inst)
             sched, trace = bcd(inst, init)
             assert trace.utilities[-1] >= score(inst, init).utility_u - 1e-12
+
+    def test_stops_at_first_certified_round(self):
+        inst = random_frame(2, 80, 2)
+        cfg = SolverConfig()
+        sched, trace = bcd(inst, sg_tdma(inst), cfg)
+        assert trace.converged
+        assert len(trace.residuals) == trace.rounds_used
+        fresh = (
+            kkt_residual_time(inst, sched.powers_p, sched.shares_tau).max_residual,
+            kkt_residual_power(inst, sched.shares_tau, sched.powers_p).max_residual,
+        )
+        assert trace.residuals[-1] == fresh
+        assert max(fresh) <= cfg.tol_kkt
+        # the last round still gained: the certificate, not the stall, ended it
+        assert trace.utilities[-1] - trace.utilities[-2] >= cfg.tol_utility
+
+        _, retrace = bcd(inst, sched, cfg)
+        assert retrace.rounds_used == 1
+        assert retrace.utilities[-1] - retrace.utilities[0] < cfg.tol_utility
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_ends_certified_or_stalled_on_random_frames(self, data):
+        k = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 5))
+        prefix = data.draw(st.integers(0, k - 1))
+        harvests = [0.0] * prefix + data.draw(
+            st.lists(st.floats(0.1, 100.0), min_size=k - prefix, max_size=k - prefix)
+        )
+        losses = data.draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
+        eps_frac = data.draw(st.floats(1e-12, 0.99))
+        inst = make_instance(harvests, losses, epsilon_share=eps_frac * SLOT_S / n)
+        # the CLI's start when sg-tdma starves a user
+        start = Schedule(staircase_powers(inst), np.full((n, k), SLOT_S / n))
+        cfg = SolverConfig()
+
+        sched, trace = bcd(inst, start, cfg)
+        assert check_feasibility(inst, sched) == []
+        assert np.all(np.diff(trace.utilities) >= 0)
+        assert len(trace.residuals) == trace.rounds_used
+        certified = max(trace.residuals[-1]) <= cfg.tol_kkt
+        stalled = trace.utilities[-1] - trace.utilities[-2] < cfg.tol_utility
+        assert trace.converged == (certified or stalled)
+        assert trace.converged or trace.rounds_used == cfg.max_bcd_rounds
+        for heuristic in (sg_tdma(inst), ptf(inst)):
+            if check_feasibility(inst, heuristic) == []:
+                assert trace.utilities[-1] >= score(inst, heuristic).utility_u - 1e-6
 
 
 class TestNonconvergence:
