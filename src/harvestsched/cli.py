@@ -245,6 +245,9 @@ def _record(scenario: Scenario, algorithm: str, min_share: bool, base) -> RunRec
             sched, report, status = None, None, f"error: {err}"
         wall_ms = (time.perf_counter() - start) * 1e3
 
+    if report is not None and report.utility_u == -math.inf:
+        starved = np.flatnonzero(report.per_user_bits <= 0)
+        status = "starved: users " + ", ".join(map(str, starved))
     if report is None:
         util_impr = tput_impr = math.nan
     elif algorithm == "sg-tdma":

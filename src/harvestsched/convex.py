@@ -7,15 +7,17 @@ on a shrinking log-barrier.  The driver owns the barrier: it evaluates the
 merit, tests the interior and bounds each step.  Each block supplies its
 users' bits and the slacks the barrier keeps positive at a point, and a
 Newton step whose barrier Hessian weight is an argument, with the rate at
-which each slack falls along it.  Every stage after the first opens with a
-predictor step, whose Hessian keeps the last stage's weight, and every
-stage ends on the Newton decrement.  The solver is
-deliberately decoupled from its certificate: every solution is checked
-through explicit KKT residuals whose multipliers are rebuilt from the
-candidate point alone, so any ascent scheme could be swapped in behind the
-same contract.  Each solver checks its fixed input, and each certifier its
-point, with the checks of ``model.check_feasibility`` for that variable, and
-raises :class:`InfeasiblePointError` on any violation.
+which each slack falls along it.  A block call starts from the restart
+point its previous call returned, a barrier centre at weight
+``_RESTART_SIGMA``, or cold at weight 1; its first stage runs at that
+weight.  Every later stage opens with a predictor step, whose Hessian keeps
+the last stage's weight, and every stage ends on the Newton decrement.  The
+solver is deliberately decoupled from its certificate: every solution is
+checked through explicit KKT residuals whose multipliers are rebuilt from
+the candidate point alone, so any ascent scheme could be swapped in behind
+the same contract.  Each solver checks its fixed input, and each certifier
+its point, with the checks of ``model.check_feasibility`` for that
+variable, and raises :class:`InfeasiblePointError` on any violation.
 
 The time block's Newton system couples N users through K slot sums.  Each
 user's Hessian block is a diagonal plus a rank-one term, so each slot price
@@ -27,9 +29,11 @@ The power block solves its dense K-order Newton system directly.
 
 The alternating driver runs the time block first, then the power block, and
 never accepts a half-step that lowers utility, so traces are monotone by
-construction.  It stops once both block residuals at a round's point, which
-the trace keeps, are within ``tol_kkt`` (a block-stationary point) or the
-round gains less than ``tol_utility``.
+construction.  It hands each block the restart point of that block's
+previous call: neither block's constraints depend on the other block's
+variable, so the point stays strictly interior.  It stops once both block
+residuals at a round's point, which the trace keeps, are within ``tol_kkt``
+(a block-stationary point) or the round gains less than ``tol_utility``.
 """
 from __future__ import annotations
 
@@ -54,6 +58,14 @@ from .structure import staircase_powers
 _ARMIJO = 1e-4
 _STEP_SHRINK = 0.5
 _BOUNDARY_FRAC = 0.995
+#: Barrier weight of the stage whose centre a block call returns as its
+#: restart point, so the block's next call skips the stages above it.
+#: Deeper stages save more, but perfbench keeps every pass, so its
+#: ``peak_rss_mb`` grows with the passes that fit: on ``paper_sweep``,
+#: restarting at 1e-3 or 1e-4 cut ``wall_s`` by 44-50 % and 52-61 % but
+#: raised ``peak_rss_mb`` by 8.9-9.9 % and 11.5-16.6 %, against that
+#: metric's 10 % bound.
+_RESTART_SIGMA = 1e-2
 
 
 class NonconvergenceError(RuntimeError):
@@ -115,16 +127,18 @@ class KktResidual:
 class BcdTrace:
     """Utility trajectory of one alternating run; utilities[0] is the start.
 
-    ``residuals`` holds each round-end point's ``(time, power)`` KKT
-    ``max_residual`` floats, ``inf`` where a block cannot be certified.
+    ``residuals`` is a read-only array with one ``(time, power)`` row of KKT
+    ``max_residual`` values per round-end point, ``inf`` where a block cannot
+    be certified; one array, not a tuple of float pairs, since callers may
+    keep many traces.
     """
 
     utilities: tuple
     rounds_used: int
     converged: bool
-    warnings: tuple = ()
-    schedules: tuple = ()
-    residuals: tuple = ()
+    warnings: tuple
+    schedules: tuple
+    residuals: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +191,7 @@ def _step_to_boundary(*limits) -> float:
     return _BOUNDARY_FRAC / max(worst, _BOUNDARY_FRAC)
 
 
-def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str):
+def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=None):
     """Maximize a concave block by damped Newton on a shrinking log-barrier.
 
     ``parts(x)`` returns ``(A, slacks)``: the users' bits and the tuple of
@@ -187,15 +201,24 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str):
     the accepted iterate's are kept.  ``newton(x, A, slacks, sigma,
     h_sigma)`` returns ``(d, rates, slope)``: the Newton step for weight
     ``sigma`` whose Hessian carries the barrier weight ``h_sigma``, the rate
-    at which each slack falls along it, and the merit slope.  Each stage
-    ends once the slope of its own Newton step (``h_sigma == sigma``), the
-    squared Newton decrement, is at most ``0.1 * sigma`` (B&V 9.5.1); the
-    weight then falls tenfold until ``tol_kkt * ln2 / 100``.  Every stage
-    after the first opens with one predictor step whose Hessian keeps the
-    previous weight: that is the primal-dual step with each bound's dual at
-    the last centre, ``sigma_prev / slack`` (B&V 11.7; Nocedal & Wright ch.
-    19), and it carries a separable barrier term onto its new centre in one
-    full step, where the stage's own Hessian overshoots ninefold.  Raises
+    at which each slack falls along it, and the merit slope.
+
+    The path starts at ``restart = (x_r, sigma_r)`` when ``x_r`` has ``x``'s
+    shape and lies in the interior, and at ``x`` with weight 1 otherwise; the
+    first stage runs at that weight.  Each stage ends once the slope of its
+    own Newton step (``h_sigma == sigma``), the squared Newton decrement, is
+    at most ``0.1 * sigma`` (B&V 9.5.1); the weight then falls tenfold until
+    ``tol_kkt * ln2 / 100``.  Every stage after the first opens with one
+    predictor step whose Hessian keeps the previous weight: that is the
+    primal-dual step with each bound's dual at the last centre, ``sigma_prev
+    / slack`` (B&V 11.7; Nocedal & Wright ch. 19), and it carries a
+    separable barrier term onto its new centre in one full step, where the
+    stage's own Hessian overshoots ninefold.
+
+    Returns ``(x, restart)``: the last centre, and the centre and weight of
+    the first stage at or below ``_RESTART_SIGMA`` (``None`` when the path
+    ends above it), from which a call on a nearby problem with the same
+    constraints can start (Yildirim & Wright, SIAM J. Optim. 2002).  Raises
     :class:`NonconvergenceError` naming ``block``, with the slope at exit as
     its residual, once ``max_inner_iters`` Newton steps (predictors
     included) are spent.
@@ -211,10 +234,17 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str):
             val = val + sigma * np.log(s).sum()
         return float(val)
 
-    sigma = h_sigma = 1.0
+    starts = [(x, 1.0)]
+    if restart is not None and np.shape(restart[0]) == np.shape(x):
+        starts.insert(0, restart)
+    for x, sigma in starts:
+        A, slacks = parts(x)  # the accepted iterate's parts
+        if merit(A, slacks, sigma) > -math.inf:
+            break
+    h_sigma = sigma
     sigma_final = cfg.tol_kkt * LN2 / 100.0
     iters = 0
-    A, slacks = parts(x)  # the accepted iterate's parts
+    next_restart = None
     while True:
         base = merit(A, slacks, sigma)
         while True:
@@ -238,20 +268,25 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str):
                     x, A, slacks, base = cand, cand_A, cand_slacks, val
                     break
                 alpha *= _STEP_SHRINK
+        # the tenfold cuts round up (0.1 * 0.1 > 0.01), hence the margin
+        if next_restart is None and sigma <= _RESTART_SIGMA * (1.0 + 1e-9):
+            next_restart = (x, sigma)
         if sigma <= sigma_final:
-            return x
+            return x, next_restart
         h_sigma, sigma = sigma, max(sigma * 0.1, sigma_final)
 
 
 # ---------------------------------------------------------------------------
 # time block: fixed powers, optimize shares over per-slot simplices
 
-def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initial_shares=None):
+def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, restart=None):
     """Optimal time shares for fixed powers, with a KKT certificate.
 
-    Returns ``(shares_tau, KktResidual)``.  The barrier keeps all shares
-    strictly positive, forcing a deterministic interior optimum (the analytic
-    center when the optimal face is flat); per-slot sums are exact on return.
+    Returns ``(shares_tau, KktResidual, restart)``.  The barrier keeps all
+    shares strictly positive, forcing a deterministic interior optimum (the
+    analytic center when the optimal face is flat); per-slot sums are exact
+    on return.  The path starts at equal shares, or at ``restart`` from an
+    earlier call on this instance (see :func:`_barrier_newton`).
     The minimum total share needs no barrier, since it never binds: at the
     optimum each user has sum_t tau_nt lambda_t = 1 and T sum_t lambda_t = N,
     so its total share is at least 1 / max_t lambda_t >= T/N > epsilon_share.
@@ -265,25 +300,25 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, initia
     T = inst.slot_length_t
 
     tau = np.full((N, K), T / N)
-    if initial_shares is not None:
-        init = np.asarray(initial_shares, dtype=float)
-        if init.shape == (N, K) and np.all(np.isfinite(init)):
-            blended = 0.9 * np.maximum(init, 0.0) + 0.1 * tau
-            blended *= T / blended.sum(axis=0, keepdims=True)
-            if np.all(blended > 0):
-                tau = blended
+    if restart is not None and (
+        np.shape(restart[0]) != tau.shape
+        or np.abs(restart[0].sum(axis=0) - T).max() > inst.tol_time
+    ):
+        restart = None  # the barrier keeps slot sums, so it must start on them
 
     def newton(x, A, slacks, sigma, h_sigma):
         grad = rates / A[:, None] + sigma / x
         d = _newton_step_time(rates, x, A, grad, h_sigma)
         return d, (-d,), float((grad * d).sum())
 
-    tau = _barrier_newton(tau, cfg, lambda x: (_bits_per_user(rates, x), (x,)), newton, "time")
+    tau, restart = _barrier_newton(
+        tau, cfg, lambda x: (_bits_per_user(rates, x), (x,)), newton, "time", restart
+    )
     tau = tau * (T / tau.sum(axis=0, keepdims=True))  # exact slot sums
     # certify through the reconstruction path: it rebuilds multipliers from
     # the point alone, which stays accurate even when binding constraints
     # make the barrier's own sigma/slack multipliers ill-conditioned
-    return tau, kkt_residual_time(inst, p, tau)
+    return tau, kkt_residual_time(inst, p, tau), restart
 
 
 def _newton_step_time(rates, tau, A, grad, sigma):
@@ -353,13 +388,15 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
 # ---------------------------------------------------------------------------
 # power block: fixed shares, optimize powers under cumulative energy budgets
 
-def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, initial_powers=None):
+def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, restart=None):
     """Optimal powers for fixed shares, with a KKT certificate.
 
-    Returns ``(powers_p, KktResidual)``.  Slots whose cumulative harvest is
-    still zero are pinned to zero power; the rest are solved by barrier
-    Newton, so the unique optimum of this strictly concave block is reached
-    regardless of the starting point.
+    Returns ``(powers_p, KktResidual, restart)``.  Slots whose cumulative
+    harvest is still zero are pinned to zero power; the rest are solved by
+    barrier Newton, so the unique optimum of this strictly concave block is
+    reached regardless of the starting point.  The path starts at nine
+    tenths of the staircase powers, or at ``restart`` from an earlier call
+    on this instance (see :func:`_barrier_newton`).
     """
     cfg = cfg or SolverConfig()
     tau = np.asarray(shares_tau, dtype=float)
@@ -378,14 +415,6 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
             "a user has no share on any slot that can carry power; its utility "
             "would be -inf for every feasible power vector"
         )
-
-    p_free = 0.9 * staircase_powers(inst)[free]
-    if initial_powers is not None:
-        init = np.asarray(initial_powers, dtype=float)
-        if init.shape == (K,) and np.all(np.isfinite(init)):
-            cand = 0.9 * np.maximum(init[free], 0.0) + 0.1 * p_free
-            if np.all(cand > 0) and np.all(np.cumsum(cand) * T < C[free]):
-                p_free = cand
 
     tau_f = tau[:, free]
     C_f = C[free]
@@ -415,12 +444,15 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, ini
 
     pinned = np.zeros(t0)
     try:
-        p_full = np.concatenate([pinned, _barrier_newton(p_free, cfg, parts, newton, "power")])
+        p_free, restart = _barrier_newton(
+            0.9 * staircase_powers(inst)[free], cfg, parts, newton, "power", restart
+        )
     except NonconvergenceError as err:
         err.best = np.concatenate([pinned, err.best])
         raise
+    p_full = np.concatenate([pinned, p_free])
     # reconstruction-path certificate, for the same reason as in solve_time
-    return p_full, kkt_residual_power(inst, tau, p_full)
+    return p_full, kkt_residual_power(inst, tau, p_full), restart
 
 
 def kkt_residual_power(inst: Instance, shares_tau, powers_p) -> KktResidual:
@@ -465,9 +497,10 @@ def _certify(certifier, inst: Instance, *point) -> KktResidual:
 def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     """Alternate the time and power blocks from a feasible start.
 
-    Each round solves the time block first, then the power block, accepting a
-    half-step only when it improves utility, and certifies both blocks at its
-    point (``trace.residuals``).  The run converges once both residuals are
+    Each round solves the time block first, then the power block, each from
+    the restart point of its previous call, accepting a half-step only when
+    it improves utility, and certifies both blocks at its point
+    (``trace.residuals``).  The run converges once both residuals are
     within ``tol_kkt`` (a block-stationary point; Tseng, JOTA 2001) or a round
     gains less than ``tol_utility``, and otherwise ends on the round budget.
     Subsolver nonconvergence is downgraded to a trace warning and the best
@@ -490,9 +523,10 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     warnings: list[str] = []
     residuals: list[tuple[float, float]] = []
     cert = [None, None]  # (time, power) certificates of sched; None once stale
+    time_restart = power_restart = None  # each block's last restart point
     for rounds in range(1, cfg.max_bcd_rounds + 1):
         try:
-            tau_new, kkt = solve_time(inst, sched.powers_p, cfg, initial_shares=sched.shares_tau)
+            tau_new, kkt, time_restart = solve_time(inst, sched.powers_p, cfg, time_restart)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} time block: {err}")
             tau_new, kkt = err.best, None
@@ -503,7 +537,7 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
             cert = [kkt, None]
 
         try:
-            p_new, kkt = solve_power(inst, sched.shares_tau, cfg, initial_powers=sched.powers_p)
+            p_new, kkt, power_restart = solve_power(inst, sched.shares_tau, cfg, power_restart)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} power block: {err}")
             p_new, kkt = err.best, None
@@ -524,12 +558,14 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
         if converged:
             break
 
+    residual_rows = np.array(residuals)
+    residual_rows.setflags(write=False)
     trace = BcdTrace(
         utilities=tuple(utilities),
         rounds_used=len(residuals),
         converged=converged,
         warnings=tuple(warnings),
         schedules=tuple(schedules),
-        residuals=tuple(residuals),
+        residuals=residual_rows,
     )
     return sched, trace

@@ -8,7 +8,7 @@ indices exposed by this module are 0-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class Instance:
     normalized gain ``gain / (N0 * W)`` scales transmit power into SNR.
     ``epsilon_share`` is the minimum total time (s) a schedule must grant each
     user over the frame; it defaults to ``1e-9 * slot_length_t``.
+    ``_staircase`` caches :func:`structure.staircase_powers` for the instance.
     """
 
     bandwidth_w_hz: float
@@ -57,6 +58,7 @@ class Instance:
     harvests_e: np.ndarray
     path_loss_db: np.ndarray
     epsilon_share: float = None  # type: ignore[assignment]
+    _staircase: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("bandwidth_w_hz", "noise_density_n0", "slot_length_t"):
@@ -161,16 +163,22 @@ class ScoreReport:
 
     ``utility_u`` is the log2-sum utility and is ``-inf`` whenever any user
     receives zero bits, so reports stay comparable instead of raising.
-    ``jain_fi`` is NaN when every user gets zero bits.
+    ``jain_fi`` is NaN when every user gets zero bits.  ``per_user_utility``
+    is derived from the bits on access, not stored.
     """
 
     utility_u: float
     per_user_bits: np.ndarray
-    per_user_utility: np.ndarray
     total_bits: float
     jain_fi: float
     feasible: bool
     violations: tuple
+
+    @property
+    def per_user_utility(self) -> np.ndarray:
+        """log2 of each user's bits, ``-inf`` for a user without bits."""
+        with np.errstate(divide="ignore"):
+            return np.log2(self.per_user_bits)
 
 
 def _check_dims(inst: Instance, sched: Schedule) -> None:
@@ -243,8 +251,7 @@ def score(inst: Instance, sched: Schedule) -> ScoreReport:
     bits = np.maximum(sched.shares_tau, 0.0) * rates
     per_user_bits = bits.sum(axis=1)
     with np.errstate(divide="ignore"):
-        per_user_utility = np.log2(per_user_bits)
-    utility = float(per_user_utility.sum())
+        utility = float(np.log2(per_user_bits).sum())
     total = float(per_user_bits.sum())
     if total > 0.0:
         jain = total * total / (inst.n_users * float(np.dot(per_user_bits, per_user_bits)))
@@ -252,11 +259,9 @@ def score(inst: Instance, sched: Schedule) -> ScoreReport:
         jain = math.nan
     violations = tuple(check_feasibility(inst, sched))
     per_user_bits.setflags(write=False)
-    per_user_utility.setflags(write=False)
     return ScoreReport(
         utility_u=utility,
         per_user_bits=per_user_bits,
-        per_user_utility=per_user_utility,
         total_bits=total,
         jain_fi=jain,
         feasible=not violations,

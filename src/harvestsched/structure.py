@@ -54,8 +54,16 @@ def virtual_harvests(inst: Instance) -> VirtualHarvests:
 
 
 def staircase_powers(inst: Instance) -> np.ndarray:
-    """Per-slot powers induced by the deferral staircase."""
-    return virtual_harvests(inst).virtual_e / inst.slot_length_t
+    """Per-slot powers induced by the deferral staircase.
+
+    Computed once per instance; every caller gets the same read-only array,
+    which schedules keep without copying.
+    """
+    if inst._staircase is None:
+        powers = virtual_harvests(inst).virtual_e / inst.slot_length_t
+        powers.setflags(write=False)
+        object.__setattr__(inst, "_staircase", powers)
+    return inst._staircase
 
 
 def sort_schedule_nondecreasing(inst: Instance, sched: Schedule):

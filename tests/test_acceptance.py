@@ -239,7 +239,7 @@ def test_05_solver_soundness():
         inst = make_instance(harvests, list(rng.uniform(1, 35, size=2)))
         p = rng.uniform(0.02, 1.0, size=2)
         p *= 0.9 * float((inst.cum_harvests / (np.cumsum(p) * 10.0)).min())
-        tau, _ = solve_time(inst, p)
+        tau, _, _ = solve_time(inst, p)
         u = score(inst, Schedule(p, tau)).utility_u
         assert u >= grid_search_2x2(inst, p) - 1e-3
     print("\nACCEPTANCE 5 PASS: monotone traces, 100 gradient checks, 20 grid cross-checks")

@@ -217,6 +217,14 @@ class TestRunCompare:
             if heur.schedule is not None and not check_feasibility(inst, heur.schedule):
                 assert rec.report.utility_u >= heur.report.utility_u
 
+    def test_heuristics_share_one_staircase(self):
+        scen = builtin_scenario("bursty", "moderate", 3)
+        by_alg = {rec.algorithm: rec for rec in compare(scen)}
+        powers = by_alg["ptf"].schedule.powers_p
+        assert by_alg["pronto"].schedule.powers_p is powers
+        assert powers is staircase_powers(scen.instance)
+        assert not powers.flags.writeable and powers.flags.owndata
+
     def test_bench_batch_shape(self):
         scens = bench_2x2_scenarios()
         assert len(scens) == 9
@@ -305,6 +313,19 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith(CSV_HEADER)
+
+    def test_starved_rows_name_their_users(self, capsys):
+        # N > K: sg-tdma and ptf leave user 8 without bits, bcd serves all
+        argv = ["compare", "--scenario", "very-bursty", "--users", "9", "--case", "moderate"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        status = {row.split()[3]: row.split("  ")[-1].strip() for row in rows}
+        assert status["sg-tdma"] == "starved: users 8 [infeasible: min_share]"
+        assert status["ptf"] == "starved: users 8 [infeasible: min_share]"
+        assert status["pronto"].startswith("error: block assignment needs K >= N")
+        assert status["bcd"] == "ok"
+        assert main(argv + ["--out", "csv"]) == 0
+        assert "starved" not in capsys.readouterr().out
 
     def test_sweep_requires_range(self, capsys):
         assert main(["sweep", "--scenario", "bursty", "--users", "3"]) == 1

@@ -68,30 +68,33 @@ class TestSolverConfig:
 class TestSolvePower:
     def test_binding_budget_row(self, row1_instance):
         tau = np.array([[10.0, 4.4129], [0.0, 5.5871]])
-        p, res = solve_power(row1_instance, tau)
+        p, res, _ = solve_power(row1_instance, tau)
         np.testing.assert_allclose(p, [0.05, 5.0], atol=1e-4)
         assert res.certified(1e-6)
 
     def test_interior_split_row(self):
         inst = make_instance([50.0, 0.5], [19.0, 22.0])
         tau = np.array([[10.0, 0.2428], [0.0, 9.7572]])
-        p, res = solve_power(inst, tau)
+        p, res, _ = solve_power(inst, tau)
         np.testing.assert_allclose(p, [2.2993, 2.7507], atol=1e-3)
         assert res.certified(1e-6)
 
     def test_single_user_single_slot_spends_everything(self):
         inst = make_instance([7.0], [19.0])
-        p, res = solve_power(inst, np.array([[10.0]]))
+        p, res, _ = solve_power(inst, np.array([[10.0]]))
         assert p[0] == pytest.approx(0.7, rel=1e-6)
         assert res.certified(1e-6)
 
     def test_restarts_agree(self):
-        # strict concavity: any warm start lands on the same maximizer
+        # strict concavity: a restart from another share matrix's solve
+        # lands on the same maximizer
         inst = make_instance([50.0, 0.5], [19.0, 22.0])
         tau = np.array([[10.0, 0.2428], [0.0, 9.7572]])
-        p_a, _ = solve_power(inst, tau)
-        p_b, _ = solve_power(inst, tau, initial_powers=np.array([0.2, 0.3]))
-        p_c, _ = solve_power(inst, tau, initial_powers=np.array([4.5, 0.1]))
+        p_a, _, _ = solve_power(inst, tau)
+        _, _, restart_b = solve_power(inst, np.array([[9.0, 1.0], [1.0, 9.0]]))
+        _, _, restart_c = solve_power(inst, np.array([[0.1, 9.9], [9.9, 0.1]]))
+        p_b, _, _ = solve_power(inst, tau, restart=restart_b)
+        p_c, _, _ = solve_power(inst, tau, restart=restart_c)
         u = [
             score(inst, Schedule(p, tau)).utility_u for p in (p_a, p_b, p_c)
         ]
@@ -103,7 +106,7 @@ class TestSolvePower:
         inst = make_instance([0.0, 0.0, 30.0, 10.0], [19.0, 22.0])
         T = inst.slot_length_t
         tau = np.full((2, 4), T / 2)
-        p, res = solve_power(inst, tau)
+        p, res, _ = solve_power(inst, tau)
         assert p[0] == 0.0 and p[1] == 0.0
         assert np.all(p[2:] > 0)
         assert res.certified(1e-6)
@@ -124,14 +127,7 @@ class TestSolvePower:
         # short of it spends one Newton solve per step until a budget runs out
         inst = builtin_scenario(profile, "moderate", 8).instance
         tau = np.full((inst.n_users, inst.n_slots), inst.slot_length_t / inst.n_users)
-        solves = []
-        real_solve = np.linalg.solve
-
-        def counting_solve(*args, **kw):
-            solves.append(1)
-            return real_solve(*args, **kw)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        solves = count_solves(monkeypatch)
         solve_power(inst, tau)
         assert len(solves) < 100
 
@@ -159,20 +155,20 @@ class TestSolvePower:
 
 class TestSolveTime:
     def test_reference_split_low_high(self, row1_instance):
-        tau, res = solve_time(row1_instance, [0.05, 5.0])
+        tau, res, _ = solve_time(row1_instance, [0.05, 5.0])
         np.testing.assert_allclose(tau, [[10.0, 4.4129], [0.0, 5.5871]], atol=1e-3)
         assert res.certified(1e-6)
         np.testing.assert_allclose(tau.sum(axis=0), [10.0, 10.0], rtol=1e-12)
 
     def test_single_user_gets_whole_frame(self):
         inst = make_instance([5.0, 20.0, 1.0], [19.0])
-        tau, res = solve_time(inst, [0.5, 2.0, 0.1])
+        tau, res, _ = solve_time(inst, [0.5, 2.0, 0.1])
         np.testing.assert_allclose(tau, [[10.0, 10.0, 10.0]])
         assert res.certified(1e-6)
 
     def test_reference_split_interior_powers(self):
         inst = make_instance([50.0, 0.5], [19.0, 22.0])
-        tau, res = solve_time(inst, [2.2993, 2.7507])
+        tau, res, _ = solve_time(inst, [2.2993, 2.7507])
         np.testing.assert_allclose(tau, [[10.0, 0.2431], [0.0, 9.7569]], atol=1e-3)
         assert res.certified(1e-6)
 
@@ -183,13 +179,13 @@ class TestSolveTime:
             inst = make_instance(harvests, list(rng.uniform(1, 35, size=2)))
             p = rng.uniform(0.02, 1.0, size=2)
             p *= 0.9 * float((inst.cum_harvests / (np.cumsum(p) * 10.0)).min())
-            tau, _ = solve_time(inst, p)
+            tau, _, _ = solve_time(inst, p)
             u = score(inst, Schedule(p, tau)).utility_u
             assert u >= grid_search_2x2(inst, p) - 1e-3
 
     def test_zero_power_slot_is_split_evenly(self):
         inst = make_instance([0.0, 20.0], [19.0, 22.0])
-        tau, res = solve_time(inst, [0.0, 2.0])
+        tau, res, _ = solve_time(inst, [0.0, 2.0])
         np.testing.assert_allclose(tau[:, 0], [5.0, 5.0], atol=1e-6)
         assert res.certified(1e-6)
 
@@ -249,6 +245,35 @@ def random_frame(seed, n_slots, n_users):
     harvests = rng.permutation((np.arange(n_slots) + 0.5) * (100.0 / n_slots))
     losses = rng.permutation(13.0 + (np.arange(n_users) + 0.5) * (27.0 / n_users))
     return make_instance(harvests, list(losses))
+
+
+BLOCK_SOLVERS = {"time": solve_time, "power": solve_power}
+
+
+def perturbed_block_inputs(inst, block):
+    """Two fixed inputs of one block: the staircase powers (time block) or
+    equal shares (power block), then a seeded feasible perturbation."""
+    rng = np.random.default_rng(5)
+    n, k, T = inst.n_users, inst.n_slots, inst.slot_length_t
+    if block == "time":
+        powers = staircase_powers(inst)
+        return powers, powers * rng.uniform(0.8, 1.0, size=k)  # lower powers keep every budget
+    shares = np.full((n, k), T / n)
+    weights = rng.uniform(0.1, 1.0, size=(n, k))
+    return shares, 0.8 * shares + 0.2 * T * weights / weights.sum(axis=0)
+
+
+def count_solves(monkeypatch):
+    """A list that grows by one on every ``np.linalg.solve`` call."""
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(*args, **kw):
+        solves.append(1)
+        return real_solve(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return solves
 
 
 STEP_INSTANCES = {
@@ -311,7 +336,7 @@ class TestTimeNewtonStep:
             return real_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        tau, res = solve_time(inst, sg_tdma(inst).powers_p)
+        tau, res, _ = solve_time(inst, sg_tdma(inst).powers_p)
         assert orders and max(orders) <= inst.n_users
         assert res.certified(1e-6)
 
@@ -330,19 +355,30 @@ class TestBarrierNewton:
     @pytest.mark.parametrize("profile", list(HARVEST_PROFILES))
     def test_newton_solve_counts(self, profile, block, monkeypatch):
         inst = builtin_scenario(profile, "moderate", 8).instance
-        solves = []
-        real_solve = np.linalg.solve
-
-        def counting_solve(*args, **kw):
-            solves.append(1)
-            return real_solve(*args, **kw)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        if block == "power":
-            solve_power(inst, np.full((inst.n_users, inst.n_slots), inst.slot_length_t / inst.n_users))
-        else:
-            solve_time(inst, staircase_powers(inst))
+        solves = count_solves(monkeypatch)
+        BLOCK_SOLVERS[block](inst, perturbed_block_inputs(inst, block)[0])
         assert len(solves) <= self.SOLVE_BOUNDS[profile][block]
+
+    # Newton solves of a block call at the perturbed input, restarted from
+    # the call at the unperturbed one, bounded between the restarted counts
+    # (power 39/31/29, time 98/96/82) and the cold counts at the same input
+    # (52/44/41, 126/120/106)
+    RESTART_SOLVE_BOUNDS = {
+        "regular": {"power": 45, "time": 112},
+        "bursty": {"power": 37, "time": 108},
+        "very-bursty": {"power": 35, "time": 94},
+    }
+
+    @pytest.mark.parametrize("block", ["power", "time"])
+    @pytest.mark.parametrize("profile", list(HARVEST_PROFILES))
+    def test_restarted_newton_solve_counts(self, profile, block, monkeypatch):
+        inst = builtin_scenario(profile, "moderate", 8).instance
+        solver = BLOCK_SOLVERS[block]
+        first, second = perturbed_block_inputs(inst, block)
+        restart = solver(inst, first)[2]
+        solves = count_solves(monkeypatch)
+        solver(inst, second, restart=restart)
+        assert len(solves) <= self.RESTART_SOLVE_BOUNDS[profile][block]
 
     def test_predictor_lands_on_next_centre(self):
         # separable toy block -c.x + sigma sum(log x), centred at x = sigma / c;
@@ -358,7 +394,7 @@ class TestBarrierNewton:
             return d, (-d,), float(grad @ d)
 
         cfg = SolverConfig()
-        x = _barrier_newton(1.0 / c, cfg, lambda x: (np.exp(-c * x), (x,)), newton, "toy")
+        x, restart = _barrier_newton(1.0 / c, cfg, lambda x: (np.exp(-c * x), (x,)), newton, "toy")
         sigmas = [sigma for _, sigma, h_sigma, _ in calls if h_sigma == sigma]
         assert sigmas[0] == 1.0 and sigmas[-1] == cfg.tol_kkt * LN2 / 100.0
         # each stage after the first: one predictor, then the stop test holds
@@ -369,6 +405,31 @@ class TestBarrierNewton:
             # times that relative error at the next, hence the loose rtol
             np.testing.assert_allclose(centred[0], centred[1] / c, rtol=1e-6)
         np.testing.assert_allclose(x, sigmas[-1] / c, rtol=1e-6)
+        # the restart point is the centre of the first stage at or below 1e-2
+        assert restart[1] == sigmas[2] == pytest.approx(1e-2, rel=1e-9)
+        np.testing.assert_allclose(restart[0], restart[1] / c, rtol=1e-6)
+
+    def test_restart_opens_without_predictor(self):
+        # from a restart at the centre for weight 1e-2, the first stage runs
+        # there on its own Hessian, and every later stage opens with a
+        # predictor
+        c = np.array([0.5, 2.0, 3.0])
+        calls = []
+
+        def newton(x, A, slacks, sigma, h_sigma):
+            grad = -c + sigma / x
+            d = x * x / h_sigma * grad
+            calls.append((sigma, h_sigma))
+            return d, (-d,), float(grad @ d)
+
+        cfg = SolverConfig()
+        x, restart = _barrier_newton(
+            1.0 / c, cfg, lambda x: (np.exp(-c * x), (x,)), newton, "toy", (0.01 / c, 1e-2)
+        )
+        assert calls[0] == (1e-2, 1e-2)
+        assert [h for sigma, h in calls if h != sigma][0] == 1e-2  # the first predictor
+        assert restart[1] == 1e-2
+        np.testing.assert_allclose(x, cfg.tol_kkt * LN2 / 100.0 / c, rtol=1e-6)
 
     def test_rejected_candidates_leave_the_iterate_parts(self):
         # every candidate fails the Armijo test (it asks for a rise of 1e26
@@ -389,9 +450,10 @@ class TestBarrierNewton:
             _barrier_newton(1.0 / c, SolverConfig(max_inner_iters=3), parts, newton, "toy")
         assert seen == [True] * 4
 
+    @pytest.mark.parametrize("start", ["cold", "restart"])
     @pytest.mark.parametrize("block", ["power", "time"])
     @pytest.mark.parametrize("frame", [*HARVEST_PROFILES, "frame80x2"])
-    def test_newton_gets_parts_of_its_iterate(self, frame, block, monkeypatch):
+    def test_newton_gets_parts_of_its_iterate(self, frame, block, start, monkeypatch):
         # every Newton step must see the bits and slacks of its own iterate,
         # never those of a rejected line-search candidate, and each tried
         # point must cost one parts() call
@@ -399,10 +461,13 @@ class TestBarrierNewton:
             inst = random_frame(1, 80, 2)
         else:
             inst = builtin_scenario(frame, "moderate", 8).instance
+        solver = BLOCK_SOLVERS[block]
+        first, second = perturbed_block_inputs(inst, block)
+        restart = solver(inst, first)[2] if start == "restart" else None
         real_driver = convex._barrier_newton
         events = []
 
-        def checking_driver(x, cfg, parts, newton, name):
+        def checking_driver(x, cfg, parts, newton, name, restart=None):
             def logged_parts(y):
                 events.append(("parts", y.copy()))
                 return parts(y)
@@ -416,14 +481,11 @@ class TestBarrierNewton:
                 events.append(("newton", y.copy(), d, _step_to_boundary(*zip(slacks, rates))))
                 return d, rates, slope
 
-            events.append(("start", x.copy()))
-            return real_driver(x, cfg, logged_parts, checked_newton, name)
+            events.append(("start", (x if restart is None else restart[0]).copy()))
+            return real_driver(x, cfg, logged_parts, checked_newton, name, restart)
 
         monkeypatch.setattr(convex, "_barrier_newton", checking_driver)
-        if block == "power":
-            solve_power(inst, np.full((inst.n_users, inst.n_slots), inst.slot_length_t / inst.n_users))
-        else:
-            solve_time(inst, staircase_powers(inst))
+        solver(inst, second, restart=restart)
         # parts() runs once on the start, then once per candidate of each
         # step: x + alpha d, alpha halving from the boundary step
         (_, start), (kind, first), (kind_next, *_) = events[:3]
@@ -460,18 +522,77 @@ class TestBarrierNewton:
             assert np.all(slack - alpha * rate > 0)
 
 
+class TestRestart:
+    @pytest.mark.parametrize("block", ["time", "power"])
+    @pytest.mark.parametrize("frame", [*HARVEST_PROFILES, "frame80x2"])
+    def test_matches_cold_solve_with_fewer_solves(self, frame, block, monkeypatch):
+        if frame == "frame80x2":
+            inst = random_frame(1, 80, 2)
+        else:
+            inst = builtin_scenario(frame, "moderate", 8).instance
+        solver = BLOCK_SOLVERS[block]
+        first, second = perturbed_block_inputs(inst, block)
+        restart = solver(inst, first)[2]
+        solves = count_solves(monkeypatch)
+        cold, cold_res, _ = solver(inst, second)
+        cold_solves = len(solves)
+        warm, warm_res, _ = solver(inst, second, restart=restart)
+        assert len(solves) - cold_solves < cold_solves
+        assert cold_res.certified(1e-6) and warm_res.certified(1e-6)
+        utilities = [
+            score(inst, Schedule(second, x) if block == "time" else Schedule(x, second)).utility_u
+            for x in (cold, warm)
+        ]
+        assert abs(utilities[1] - utilities[0]) <= 1e-9 * abs(utilities[0])
+        # both calls end on the last stage's Newton decrement, which pins
+        # the point less tightly than the utility (the power block's points
+        # differ by up to 8.9e-9 of their largest entry here)
+        assert np.abs(warm - cold).max() <= 1e-7 * np.abs(cold).max()
+
+    @pytest.mark.parametrize(("block", "bad"), [
+        *((block, bad) for block in ("time", "power") for bad in ("shape", "boundary", "outside")),
+        ("time", "slot_sums"),
+    ])
+    @pytest.mark.parametrize("frame", ["bursty-4", "zero-prefix"])
+    def test_unusable_restart_gives_cold_start(self, frame, block, bad):
+        if frame == "zero-prefix":
+            inst = make_instance([0.0, 0.0, 30.0, 10.0, 5.0], [19.0, 22.0])
+        else:
+            inst = builtin_scenario("bursty", "moderate", 4).instance
+        solver = BLOCK_SOLVERS[block]
+        first, second = perturbed_block_inputs(inst, block)
+        x, sigma = solver(inst, first)[2]
+        x = x.copy()
+        if bad == "shape":
+            x = np.append(x, x[..., -1:], axis=-1)
+        elif bad == "slot_sums":
+            x *= 1.01
+        elif block == "time":  # move one share into another user's, keeping the slot sum
+            x[1, 0] += x[0, 0] * (1.0 if bad == "boundary" else 2.0)
+            x[0, 0] *= 0.0 if bad == "boundary" else -1.0
+        elif bad == "boundary":
+            x[0] = 0.0
+        else:  # spends the whole frame's harvest in the first free slot
+            x += inst.total_harvest / inst.slot_length_t
+        cold = solver(inst, second)
+        got = solver(inst, second, restart=(x, sigma))
+        assert np.array_equal(got[0], cold[0])
+        assert got[1].max_residual == cold[1].max_residual
+        assert np.array_equal(got[2][0], cold[2][0]) and got[2][1] == cold[2][1]
+
+
 class TestKktResiduals:
     def test_refit_certifies_solver_output(self, row1_instance):
-        tau, _ = solve_time(row1_instance, [0.05, 5.0])
+        tau, _, _ = solve_time(row1_instance, [0.05, 5.0])
         refit = kkt_residual_time(row1_instance, [0.05, 5.0], tau)
         assert refit.certified(1e-6)
-        p, _ = solve_power(row1_instance, tau)
+        p, _, _ = solve_power(row1_instance, tau)
         refit_p = kkt_residual_power(row1_instance, tau, p)
         assert refit_p.certified(1e-6)
         assert np.all(refit_p.multipliers["lambda"] >= 0)
 
     def test_perturbed_point_fails(self, row1_instance):
-        tau, _ = solve_time(row1_instance, [0.05, 5.0])
+        tau, _, _ = solve_time(row1_instance, [0.05, 5.0])
         bumped = tau.copy()
         bumped[0, 1] += 0.5
         bumped[1, 1] -= 0.5
@@ -550,6 +671,24 @@ class TestBcd:
                 kept += 1
         assert kept > 0  # this instance rejects some half-steps
 
+    def test_each_block_restarts_from_its_last_call(self, monkeypatch):
+        inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
+        calls = {"time": [], "power": []}
+        for block, solver in BLOCK_SOLVERS.items():
+            def recorded(inst, fixed, cfg=None, restart=None, block=block, solver=solver):
+                out = solver(inst, fixed, cfg, restart)
+                calls[block].append((restart, out[2]))
+                return out
+
+            monkeypatch.setattr(convex, f"solve_{block}", recorded)
+        sched, trace = bcd(inst, sg_tdma(inst))
+        for seen in calls.values():
+            assert len(seen) == trace.rounds_used >= 3
+            assert seen[0][0] is None  # the first round starts cold
+            for (_, returned), (passed, _) in zip(seen, seen[1:]):
+                assert passed is returned
+            assert all(restart[1] == pytest.approx(1e-2, rel=1e-9) for _, restart in seen)
+
     def test_infeasible_init_rejected(self, row1_instance):
         bad = Schedule([5.0, 0.05], [[10.0, 0.0], [0.0, 10.0]])
         with pytest.raises(InfeasibleStartError):
@@ -575,7 +714,9 @@ class TestBcd:
             kkt_residual_time(inst, sched.powers_p, sched.shares_tau).max_residual,
             kkt_residual_power(inst, sched.shares_tau, sched.powers_p).max_residual,
         )
-        assert trace.residuals[-1] == fresh
+        assert tuple(trace.residuals[-1]) == fresh
+        assert trace.residuals.shape == (trace.rounds_used, 2)
+        assert not trace.residuals.flags.writeable
         assert max(fresh) <= cfg.tol_kkt
         # the last round still gained: the certificate, not the stall, ended it
         assert trace.utilities[-1] - trace.utilities[-2] >= cfg.tol_utility
@@ -682,13 +823,13 @@ class TestBlockProperties:
         inst, powers, shares = problem
         T, n = inst.slot_length_t, inst.n_users
 
-        tau, res = solve_time(inst, powers)
+        tau, res, _ = solve_time(inst, powers)
         assert res.certified(1e-6), res
         assert np.all(np.abs(tau.sum(axis=0) - T) <= 1e-12 * T)
         assert np.all(tau.sum(axis=1) >= T / n * (1 - 1e-6))
         assert check_feasibility(inst, Schedule(powers, tau)) == []
 
-        p, res = solve_power(inst, shares)
+        p, res, _ = solve_power(inst, shares)
         assert res.certified(1e-6), res
         assert check_feasibility(inst, Schedule(p, shares)) == []
 
