@@ -19,6 +19,11 @@ the same contract.  Each solver checks its fixed input, and each certifier
 its point, with the checks of ``model.check_feasibility`` for that
 variable, and raises :class:`InfeasiblePointError` on any violation.
 
+On small frames numpy's per-call cost sets the time, so each Newton
+evaluation computes its pieces once: the interior test reads one minimum
+per array, the time block's gradient and step share ``rates / A``, and the
+power block builds its Hessian negated and in place, in three K x K passes.
+
 The time block's Newton system couples N users through K slot sums.  Each
 user's Hessian block is a diagonal plus a rank-one term, so each slot price
 is a weighted average over its users; eliminating the prices leaves one
@@ -191,17 +196,29 @@ def _step_to_boundary(*limits) -> float:
     return _BOUNDARY_FRAC / max(worst, _BOUNDARY_FRAC)
 
 
+def _merit(A, slacks, sigma) -> float:
+    """Barrier merit, ``-inf`` unless all entries are positive (NaN fails Armijo)."""
+    if A.min() <= 0:
+        return -math.inf
+    val = np.log(A).sum()
+    for s in slacks:
+        if s.min() <= 0:
+            return -math.inf
+        val = val + sigma * np.log(s).sum()
+    return float(val)
+
+
 def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=None):
     """Maximize a concave block by damped Newton on a shrinking log-barrier.
 
     ``parts(x)`` returns ``(A, slacks)``: the users' bits and the tuple of
     arrays the barrier keeps positive.  The merit for weight ``sigma``,
     ``sum(log A) + sigma * sum(log s)`` over the slacks (B&V 11.3), is
-    ``-inf`` outside the interior; ``parts`` runs once per tried point and
-    the accepted iterate's are kept.  ``newton(x, A, slacks, sigma,
-    h_sigma)`` returns ``(d, rates, slope)``: the Newton step for weight
-    ``sigma`` whose Hessian carries the barrier weight ``h_sigma``, the rate
-    at which each slack falls along it, and the merit slope.
+    ``-inf`` outside the interior (:func:`_merit`); ``parts`` runs once per
+    tried point and the accepted iterate's are kept.  ``newton(x, A, slacks,
+    sigma, h_sigma)`` returns ``(d, rates, slope)``: the Newton step for
+    weight ``sigma`` whose Hessian carries the barrier weight ``h_sigma``,
+    the rate at which each slack falls along it, and the merit slope.
 
     The path starts at ``restart = (x_r, sigma_r)`` when ``x_r`` has ``x``'s
     shape and lies in the interior, and at ``x`` with weight 1 otherwise; the
@@ -224,29 +241,19 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
     included) are spent.
     """
 
-    def merit(A, slacks, sigma):
-        if np.any(A <= 0):
-            return -math.inf
-        val = np.log(A).sum()
-        for s in slacks:
-            if np.any(s <= 0):
-                return -math.inf
-            val = val + sigma * np.log(s).sum()
-        return float(val)
-
     starts = [(x, 1.0)]
     if restart is not None and np.shape(restart[0]) == np.shape(x):
         starts.insert(0, restart)
     for x, sigma in starts:
         A, slacks = parts(x)  # the accepted iterate's parts
-        if merit(A, slacks, sigma) > -math.inf:
+        if _merit(A, slacks, sigma) > -math.inf:
             break
     h_sigma = sigma
     sigma_final = cfg.tol_kkt * LN2 / 100.0
     iters = 0
     next_restart = None
     while True:
-        base = merit(A, slacks, sigma)
+        base = _merit(A, slacks, sigma)
         while True:
             d, rates, slope = newton(x, A, slacks, sigma, h_sigma)
             if h_sigma == sigma and slope <= 0.1 * sigma:
@@ -263,7 +270,7 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
             while alpha > 1e-16:
                 cand = x + alpha * d
                 cand_A, cand_slacks = parts(cand)
-                val = merit(cand_A, cand_slacks, sigma)
+                val = _merit(cand_A, cand_slacks, sigma)
                 if val >= base + _ARMIJO * alpha * slope:
                     x, A, slacks, base = cand, cand_A, cand_slacks, val
                     break
@@ -282,14 +289,15 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
 def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, restart=None):
     """Optimal time shares for fixed powers, with a KKT certificate.
 
-    Returns ``(shares_tau, KktResidual, restart)``.  The barrier keeps all
-    shares strictly positive, forcing a deterministic interior optimum (the
+    Returns ``(shares_tau, KktResidual, restart)``, ``shares_tau`` read-only
+    so a :class:`Schedule` keeps it uncopied.  The barrier keeps all shares
+    strictly positive, forcing a deterministic interior optimum (the
     analytic center when the optimal face is flat); per-slot sums are exact
     on return.  The path starts at equal shares, or at ``restart`` from an
-    earlier call on this instance (see :func:`_barrier_newton`).
-    The minimum total share needs no barrier, since it never binds: at the
-    optimum each user has sum_t tau_nt lambda_t = 1 and T sum_t lambda_t = N,
-    so its total share is at least 1 / max_t lambda_t >= T/N > epsilon_share.
+    earlier call on this instance (see :func:`_barrier_newton`).  The minimum
+    total share needs no barrier, since it never binds: at the optimum each
+    user has sum_t tau_nt lambda_t = 1 and T sum_t lambda_t = N, so its
+    total share is at least 1 / max_t lambda_t >= T/N > epsilon_share.
     """
     cfg = cfg or SolverConfig()
     p = _checked_powers(inst, np.asarray(powers_p, dtype=float))
@@ -306,22 +314,25 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, restar
     ):
         restart = None  # the barrier keeps slot sums, so it must start on them
 
+    others = 1.0 - np.eye(N)  # see _newton_step_time
     def newton(x, A, slacks, sigma, h_sigma):
-        grad = rates / A[:, None] + sigma / x
-        d = _newton_step_time(rates, x, A, grad, h_sigma)
+        u = rates / A[:, None]
+        grad = u + sigma / x
+        d = _newton_step_time(u, x, grad, h_sigma, others)
         return d, (-d,), float((grad * d).sum())
 
     tau, restart = _barrier_newton(
         tau, cfg, lambda x: (_bits_per_user(rates, x), (x,)), newton, "time", restart
     )
     tau = tau * (T / tau.sum(axis=0, keepdims=True))  # exact slot sums
+    tau.setflags(write=False)
     # certify through the reconstruction path: it rebuilds multipliers from
     # the point alone, which stays accurate even when binding constraints
     # make the barrier's own sigma/slack multipliers ill-conditioned
     return tau, kkt_residual_time(inst, p, tau), restart
 
 
-def _newton_step_time(rates, tau, A, grad, sigma):
+def _newton_step_time(u, tau, grad, sigma, others):
     """Newton step of the time block by block elimination (B&V 10.4.2, C.4).
 
     The step ``d`` and slot prices ``nu`` solve ``H_n d_n + nu = -g_n`` for
@@ -332,20 +343,20 @@ def _newton_step_time(rates, tau, A, grad, sigma):
     ``s`` solves an N x N system ``G = I + sum_t U_t (D_t^{-1} - delta_t
     delta_t^T / 1^T delta_t) U_t >= I``, with ``U_t = diag(u_t)`` and
     ``delta_t`` slot t's ``D^{-1}``.  Both terms of its diagonal grow as
-    1/sigma, so it sums each slot's ``D^{-1}`` over the *other* users instead
-    of cancelling them.  LU solves ``G`` twice, the second time for one step
-    of iterative refinement on the full KKT residual; ``G``'s explicit
-    inverse loses accuracy at small sigma.  A step costs O(N^2 K + N^3).
+    1/sigma, so it sums each slot's ``D^{-1}`` over the *other* users
+    instead of cancelling them.  LU solves ``G`` twice, the second time for
+    one step of iterative refinement on the full KKT residual; ``G``'s
+    explicit inverse loses accuracy at small sigma.  A step costs
+    O(N^2 K + N^3).  The caller passes ``u = rates / A`` and ``others =
+    1 - I``, which sums each slot's ``D^{-1}`` over the other users.
     """
     N = tau.shape[0]
-    u = rates / A[:, None]
     d_inv = tau * tau / sigma
     w = d_inv * u
     total = d_inv.sum(axis=0)
     w_avg = w / total
-    others = (1.0 - np.eye(N)) @ d_inv  # each slot's d_inv over the other users
     G = w_avg @ -w.T
-    G.flat[::N + 1] = 1.0 + (w_avg * u * others).sum(axis=1)
+    G.flat[::N + 1] = 1.0 + (w_avg * u * (others @ d_inv)).sum(axis=1)
 
     def solve(a, b):  # H_n x_n + y = a_n for all n, sum_n x_n = b
         y = (b + (d_inv * a).sum(axis=0)) / total
@@ -391,12 +402,13 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
 def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, restart=None):
     """Optimal powers for fixed shares, with a KKT certificate.
 
-    Returns ``(powers_p, KktResidual, restart)``.  Slots whose cumulative
-    harvest is still zero are pinned to zero power; the rest are solved by
-    barrier Newton, so the unique optimum of this strictly concave block is
-    reached regardless of the starting point.  The path starts at nine
-    tenths of the staircase powers, or at ``restart`` from an earlier call
-    on this instance (see :func:`_barrier_newton`).
+    Returns ``(powers_p, KktResidual, restart)``, ``powers_p`` read-only as
+    in :func:`solve_time`.  Slots whose cumulative harvest is still zero are
+    pinned to zero power; the rest are solved by barrier Newton, so the
+    unique optimum of this strictly concave block is reached regardless of
+    the starting point.  The path starts at nine tenths of the staircase
+    powers, or at ``restart`` from an earlier call on this instance (see
+    :func:`_barrier_newton`).
     """
     cfg = cfg or SolverConfig()
     tau = np.asarray(shares_tau, dtype=float)
@@ -418,29 +430,31 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, res
 
     tau_f = tau[:, free]
     C_f = C[free]
+    scaled = tau_f * (W / LN2) * L[:, None]  # d bits / d p at zero power
 
     def parts(p):
         # pinned zero-power slots contribute zero rate, so bits come from
         # the free slots alone
-        A = (tau_f * np.log1p(np.outer(L, p))).sum(axis=1) * (W / LN2)
-        return A, (p, C_f - T * np.cumsum(p))
+        A = (tau_f * np.log1p(L[:, None] * p)).sum(axis=1) * (W / LN2)
+        return A, (p, C_f - T * p.cumsum())
 
     def newton(p, A, slacks, sigma, h_sigma):
-        denom = 1.0 + np.outer(L, p)
-        a = tau_f * (W / LN2) * L[:, None] / denom
+        denom = 1.0 + L[:, None] * p
+        a = scaled / denom
         M = a / A[:, None]
         inv_slack = 1.0 / slacks[1]
-        suffix = np.cumsum(inv_slack[::-1])[::-1]
+        suffix = inv_slack[::-1].cumsum()[::-1]
         grad = M.sum(axis=0) + sigma / p - sigma * T * suffix
-        H = -(M.T @ M)
+        # -H in place, solved against grad: the same step, bit for bit
+        neg_H = M.T @ M
         b = a * L[:, None] / denom
-        H.flat[::p.size + 1] -= (b / A[:, None]).sum(axis=0) + h_sigma / p**2
+        neg_H.flat[::p.size + 1] += (b / A[:, None]).sum(axis=0) + h_sigma / p**2
         # a reversed cumsum of nonnegative terms is nonincreasing, so its
-        # value at max(i, j) is the smaller of the two
-        suffix_sq = np.cumsum((inv_slack**2)[::-1])[::-1]
-        H -= h_sigma * T * T * np.minimum.outer(suffix_sq, suffix_sq)
-        d = np.linalg.solve(H, -grad)
-        return d, (-d, T * np.cumsum(d)), float(grad @ d)
+        # value at max(i, j) is the smaller of the two, scaled or not
+        suffix_sq = h_sigma * T * T * (inv_slack**2)[::-1].cumsum()[::-1]
+        neg_H += np.minimum.outer(suffix_sq, suffix_sq)
+        d = np.linalg.solve(neg_H, grad)
+        return d, (-d, T * d.cumsum()), float(grad @ d)
 
     pinned = np.zeros(t0)
     try:
@@ -451,6 +465,7 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, res
         err.best = np.concatenate([pinned, err.best])
         raise
     p_full = np.concatenate([pinned, p_free])
+    p_full.setflags(write=False)
     # reconstruction-path certificate, for the same reason as in solve_time
     return p_full, kkt_residual_power(inst, tau, p_full), restart
 

@@ -27,6 +27,7 @@ from harvestsched.convex import (
     InfeasibleStartError,
     NonconvergenceError,
     _barrier_newton,
+    _merit,
     _newton_step_time,
     _step_to_boundary,
 )
@@ -121,6 +122,14 @@ class TestSolvePower:
         with pytest.raises(DegenerateShareError):
             solve_power(inst, tau2)
 
+    @pytest.mark.parametrize("harvests", [[50.0, 0.5], [0.0, 0.0, 30.0, 10.0]])
+    def test_schedule_keeps_the_powers(self, harvests):
+        inst = make_instance(harvests, [19.0, 22.0])
+        tau = np.full((2, inst.n_slots), inst.slot_length_t / 2)
+        p, _, _ = solve_power(inst, tau)
+        assert not p.flags.writeable
+        assert Schedule(p, tau).powers_p is p
+
     @pytest.mark.parametrize("profile", list(HARVEST_PROFILES))
     def test_stages_end_without_stalling(self, profile, monkeypatch):
         # every barrier stage must end on its stop rule: a stage that stalls
@@ -188,6 +197,12 @@ class TestSolveTime:
         tau, res, _ = solve_time(inst, [0.0, 2.0])
         np.testing.assert_allclose(tau[:, 0], [5.0, 5.0], atol=1e-6)
         assert res.certified(1e-6)
+
+    def test_schedule_keeps_the_shares(self, row1_instance):
+        p = np.array([0.05, 5.0])
+        tau, _, _ = solve_time(row1_instance, p)
+        assert not tau.flags.writeable
+        assert Schedule(p, tau).shares_tau is tau
 
     def test_all_zero_powers_rejected(self, row1_instance):
         with pytest.raises(ValueError):
@@ -314,9 +329,10 @@ class TestTimeNewtonStep:
                 tau = np.maximum(tau, 1e-12 * T)
                 tau *= T / tau.sum(axis=0)
                 A = (tau * rates).sum(axis=1)
+                u = rates / A[:, None]
                 for sigma in (1.0, 1e-3, 1e-6, sigma_final):
-                    grad = rates / A[:, None] + sigma / tau
-                    d = _newton_step_time(rates, tau, A, grad, sigma)
+                    grad = u + sigma / tau
+                    d = _newton_step_time(u, tau, grad, sigma, 1.0 - np.eye(N))
                     ref = dense_newton_step_time(rates, tau, A, grad, sigma)
                     assert time_step_kkt_residual(rates, tau, A, grad, sigma, d) <= 1e-12
                     # at the last stage the reduced Hessian's curvature is
@@ -339,6 +355,74 @@ class TestTimeNewtonStep:
         tau, res, _ = solve_time(inst, sg_tdma(inst).powers_p)
         assert orders and max(orders) <= inst.n_users
         assert res.certified(1e-6)
+
+
+def termwise_power_step(inst, shares, p, sigma, h_sigma):
+    """Reference power-block Newton step on the free slots ``p``, with the
+    gradient and Hessian of ``sum_n log A_n + sigma (sum log p + sum log s)``
+    assembled term by term, the barrier Hessian terms weighted by ``h_sigma``."""
+    K = p.size
+    tau = shares[:, inst.n_slots - K:]
+    T, L, c = inst.slot_length_t, inst.norm_gains, inst.bandwidth_w_hz / LN2
+    slack = inst.cum_harvests[inst.n_slots - K:] - T * np.cumsum(p)
+    grad = sigma / p
+    hess = np.diag(-h_sigma / p**2)
+    for n in range(inst.n_users):
+        bits = c * sum(tau[n, t] * math.log1p(L[n] * p[t]) for t in range(K))
+        a = c * tau[n] * L[n] / (1.0 + L[n] * p)  # d bits / d p
+        grad = grad + a / bits
+        hess -= np.outer(a, a) / bits**2
+        hess -= np.diag(a * L[n] / (1.0 + L[n] * p) / bits)
+    for j in range(K):  # budget j's slack falls by T for each unit of p_0..p_j
+        spends = (np.arange(K) <= j).astype(float)
+        grad = grad - sigma * T / slack[j] * spends
+        hess -= h_sigma * T * T / slack[j] ** 2 * np.outer(spends, spends)
+    return np.linalg.solve(hess, -grad), grad, hess
+
+
+POWER_STEP_FRAMES = {
+    **{f"{profile}-{n}": STEP_INSTANCES[f"{profile}-{n}"] for profile in HARVEST_PROFILES for n in range(2, 9)},
+    "frame80x2-a": STEP_INSTANCES["frame80x2-a"],
+    "zero-prefix": lambda: make_instance([0.0, 0.0, 30.0, 10.0, 5.0], [19.0, 22.0, 25.0]),
+}
+
+
+class TestPowerNewtonStep:
+    @pytest.mark.parametrize("name", list(POWER_STEP_FRAMES))
+    def test_matches_termwise_hessian(self, name, monkeypatch):
+        inst = POWER_STEP_FRAMES[name]()
+        shares = perturbed_block_inputs(inst, "power")[1]
+        real_driver = convex._barrier_newton
+        captured = []
+
+        def capturing_driver(x, cfg, parts, newton, block, restart=None):
+            out = real_driver(x, cfg, parts, newton, block, restart)
+            captured.append((parts, newton, x, out[0]))
+            return out
+
+        monkeypatch.setattr(convex, "_barrier_newton", capturing_driver)
+        solve_power(inst, shares)
+        (parts, newton, start, end), = captured
+        sigma_final = SolverConfig().tol_kkt * LN2 / 100
+        for p in (start, end):  # the cold start and the last centre
+            A, slacks = parts(p)
+            for sigma in (1.0, 1e-3, 1e-6, sigma_final):
+                for h_sigma in (sigma, 10 * sigma):  # a stage's own step and a predictor
+                    d, rates, _ = newton(p, A, slacks, sigma, h_sigma)
+                    ref, grad, hess = termwise_power_step(inst, shares, p, sigma, h_sigma)
+                    np.testing.assert_array_equal(rates[0], -d)
+                    np.testing.assert_array_equal(rates[1], inst.slot_length_t * np.cumsum(d))
+                    # d solves the reference system to rounding (measured at
+                    # most 5.4e-14, on the 80-slot frame) ...
+                    backward = np.abs(hess @ d + grad).max() / (
+                        np.abs(hess).max() * np.abs(d).max() + np.abs(grad).max()
+                    )
+                    assert backward <= 1e-12, (p is end, sigma, h_sigma)
+                    # ... so it matches the reference step as far as the
+                    # system's conditioning allows (at most 5.6e-15 cond here);
+                    # at the last centre a large sigma drives cond(H) to 4e16
+                    gap = np.abs(d - ref).max() / np.abs(ref).max()
+                    assert gap <= 1e-13 * np.linalg.cond(hess), (p is end, sigma, h_sigma)
 
 
 class TestBarrierNewton:
@@ -449,6 +533,49 @@ class TestBarrierNewton:
         with pytest.raises(NonconvergenceError):
             _barrier_newton(1.0 / c, SolverConfig(max_inner_iters=3), parts, newton, "toy")
         assert seen == [True] * 4
+
+    entries = st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        ),
+        min_size=1, max_size=5,
+    ).map(np.array)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(entries, st.lists(entries, max_size=3), st.floats(1e-12, 1.0))
+    @example(np.array([1.0]), [np.array([2.0, -0.0])], 1.0)
+    def test_merit_is_minus_inf_exactly_outside_the_interior(self, A, slacks, sigma):
+        outside = any(np.any(x <= 0) for x in (A, *slacks))
+        val = _merit(A, tuple(slacks), sigma)
+        assert (val == -math.inf) == outside
+        if not outside:
+            assert math.isfinite(val)
+
+    def test_nan_candidate_fails_the_armijo_test(self):
+        # a NaN passes the interior test, so its merit is NaN, and the line
+        # search must halve the step rather than accept the candidate
+        c = np.array([0.5, 2.0, 3.0])
+        tried = []
+
+        def parts(x):
+            tried.append(x)
+            A = np.exp(-c * x)
+            if len(tried) == 2:  # the first candidate
+                A[1] = np.nan
+            return A, (x,)
+
+        def newton(x, A, slacks, sigma, h_sigma):
+            grad = -c + sigma / x
+            d = x * x / h_sigma * grad
+            return d, (-d,), float(grad @ d)
+
+        x, _ = _barrier_newton(1.0 / c, SolverConfig(), parts, newton, "toy")
+        start, rejected, halved = tried[:3]
+        np.testing.assert_allclose(halved - start, 0.5 * (rejected - start), rtol=1e-12)
+        # the halved step ends its stage on the decrement test short of the
+        # centre, so the path stays near, not on, the exact centres
+        np.testing.assert_allclose(x, SolverConfig().tol_kkt * LN2 / 100.0 / c, rtol=0.1)
 
     @pytest.mark.parametrize("start", ["cold", "restart"])
     @pytest.mark.parametrize("block", ["power", "time"])
@@ -670,6 +797,25 @@ class TestBcd:
                 assert after.shares_tau is before.shares_tau
                 kept += 1
         assert kept > 0  # this instance rejects some half-steps
+
+    def test_accepted_half_steps_keep_the_solver_arrays(self, monkeypatch):
+        inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
+        outputs = []
+        for block, solver in BLOCK_SOLVERS.items():
+            def recorded(*args, solver=solver):
+                out = solver(*args)
+                outputs.append(out[0])
+                return out
+
+            monkeypatch.setattr(convex, f"solve_{block}", recorded)
+        sched, trace = bcd(inst, sg_tdma(inst))
+        moved = 0
+        for before, after in zip(trace.schedules, trace.schedules[1:]):
+            for new, old in ((after.powers_p, before.powers_p), (after.shares_tau, before.shares_tau)):
+                if new is not old:  # an accepted half-step: the solver's own array
+                    assert any(new is out for out in outputs)
+                    moved += 1
+        assert moved > 0
 
     def test_each_block_restarts_from_its_last_call(self, monkeypatch):
         inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
