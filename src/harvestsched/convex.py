@@ -39,11 +39,17 @@ previous call: neither block's constraints depend on the other block's
 variable, so the point stays strictly interior.  It stops once both block
 residuals at a round's point, which the trace keeps, are within ``tol_kkt``
 (a block-stationary point) or the round gains less than ``tol_utility``.
+A block call ends within about ``m * tol_kkt / 100`` of its optimum in
+utility, for m barrier terms, which can exceed ``tol_utility``; so the
+first such stall at an uncertified point instead tightens ``tol_kkt``
+a hundredfold for the rest of the run.  The next round, the finishing
+round, continues each block from its last call's final centre, two barrier
+stages deeper, and the run stops at its next stall or certificate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,12 +71,13 @@ _STEP_SHRINK = 0.5
 _BOUNDARY_FRAC = 0.995
 #: Barrier weight of the stage whose centre a block call returns as its
 #: restart point, so the block's next call skips the stages above it.
-#: Deeper stages save more, but perfbench keeps every pass, so its
-#: ``peak_rss_mb`` grows with the passes that fit: on ``paper_sweep``,
-#: restarting at 1e-3 or 1e-4 cut ``wall_s`` by 44-50 % and 52-61 % but
-#: raised ``peak_rss_mb`` by 8.9-9.9 % and 11.5-16.6 %, against that
+#: Against 1e-2, restarting at 1e-3 and 1e-4 cut traced ``paper_sweep``
+#: Newton solves by 17 % and 31 %.  Deeper stages save more, but perfbench
+#: keeps every pass, so its ``peak_rss_mb`` grows by about 0.31 MB per
+#: ``paper_sweep`` and 1.17 MB per ``long_horizon`` pass: a ``wall_s`` cut
+#: above about 38 % and 21 % fits enough extra passes to break that
 #: metric's 10 % bound.
-_RESTART_SIGMA = 1e-2
+_RESTART_SIGMA = 1e-4
 
 
 class NonconvergenceError(RuntimeError):
@@ -518,8 +525,11 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     (``trace.residuals``).  The run converges once both residuals are
     within ``tol_kkt`` (a block-stationary point; Tseng, JOTA 2001) or a round
     gains less than ``tol_utility``, and otherwise ends on the round budget.
-    Subsolver nonconvergence is downgraded to a trace warning and the best
-    iterate is used.  Returns ``(schedule, BcdTrace)``; the schedule is
+    The first such stall at an uncertified point does not end the run: the
+    blocks' ``tol_kkt`` falls a hundredfold, the next round (the finishing
+    round) starts each block at its last call's final centre and weight, and
+    the run ends on its next stall or certificate.  Subsolver nonconvergence
+    is downgraded to a trace warning and the best iterate is used.  Returns ``(schedule, BcdTrace)``; the schedule is
     ``trace.schedules[-1]``, and ``trace.schedules[0]`` is ``init`` itself
     unless an entry needed clamping to zero.
     """
@@ -539,9 +549,10 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     residuals: list[tuple[float, float]] = []
     cert = [None, None]  # (time, power) certificates of sched; None once stale
     time_restart = power_restart = None  # each block's last restart point
+    block_cfg = cfg
     for rounds in range(1, cfg.max_bcd_rounds + 1):
         try:
-            tau_new, kkt, time_restart = solve_time(inst, sched.powers_p, cfg, time_restart)
+            tau_new, kkt, time_restart = solve_time(inst, sched.powers_p, block_cfg, time_restart)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} time block: {err}")
             tau_new, kkt = err.best, None
@@ -552,7 +563,7 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
             cert = [kkt, None]
 
         try:
-            p_new, kkt, power_restart = solve_power(inst, sched.shares_tau, cfg, power_restart)
+            p_new, kkt, power_restart = solve_power(inst, sched.shares_tau, block_cfg, power_restart)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} power block: {err}")
             p_new, kkt = err.best, None
@@ -569,9 +580,18 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
         residuals.append((cert[0].max_residual, cert[1].max_residual))
         utilities.append(utility)
         schedules.append(sched)
-        converged = max(residuals[-1]) <= cfg.tol_kkt or utility - utilities[-2] < cfg.tol_utility
-        if converged:
+        certified = max(residuals[-1]) <= cfg.tol_kkt
+        stalled = utility - utilities[-2] < cfg.tol_utility
+        converged = certified or stalled
+        if certified or (stalled and block_cfg is not cfg):
             break
+        if stalled:  # the finishing round: two barrier stages deeper
+            block_cfg = replace(cfg, tol_kkt=cfg.tol_kkt / 100.0)
+            sigma = cfg.tol_kkt * LN2 / 100.0  # _barrier_newton's last weight
+            # each block restarts at its last centre unless its call returned
+            # no restart; the power block's path omits its zero prefix
+            time_restart = time_restart and (tau_new, sigma)
+            power_restart = power_restart and (p_new[p_new.size - power_restart[0].size:], sigma)
 
     residual_rows = np.array(residuals)
     residual_rows.setflags(write=False)

@@ -37,6 +37,8 @@ def sg_tdma(inst: Instance) -> Schedule:
     shares = np.zeros((inst.n_users, inst.n_slots))
     for t in range(inst.n_slots):
         shares[t % inst.n_users, t] = T
+    powers.setflags(write=False)  # read-only arrays: the Schedule keeps them
+    shares.setflags(write=False)
     return Schedule(powers_p=powers, shares_tau=shares)
 
 
@@ -87,6 +89,7 @@ def ptf(inst: Instance, min_share: bool = False) -> Schedule:
             donor = owners[t]
             shares[donor, t] -= eps
             shares[n, t] += eps
+    shares.setflags(write=False)  # as in sg_tdma; staircase powers already are
     return Schedule(powers_p=powers, shares_tau=shares)
 
 
@@ -110,4 +113,5 @@ def pronto(inst: Instance) -> Schedule:
         size = base + (1 if rank < extra else 0)
         shares[user, start:start + size] = T
         start += size
+    shares.setflags(write=False)  # as in sg_tdma; staircase powers already are
     return Schedule(powers_p=powers, shares_tau=shares)

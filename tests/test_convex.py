@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from harvestsched import (
@@ -31,7 +31,7 @@ from harvestsched.convex import (
     _newton_step_time,
     _step_to_boundary,
 )
-from harvestsched.cli import HARVEST_PROFILES, builtin_scenario
+from harvestsched.cli import HARVEST_PROFILES, bench_2x2_scenarios, builtin_scenario
 from harvestsched.model import LN2, TOL_ZERO, _power_violations, _share_violations, rate_matrix
 from harvestsched.structure import staircase_powers
 
@@ -489,14 +489,17 @@ class TestBarrierNewton:
             # times that relative error at the next, hence the loose rtol
             np.testing.assert_allclose(centred[0], centred[1] / c, rtol=1e-6)
         np.testing.assert_allclose(x, sigmas[-1] / c, rtol=1e-6)
-        # the restart point is the centre of the first stage at or below 1e-2
-        assert restart[1] == sigmas[2] == pytest.approx(1e-2, rel=1e-9)
+        # the restart point is the centre of the first stage at or below
+        # _RESTART_SIGMA, a power of ten
+        stage = round(-math.log10(convex._RESTART_SIGMA))
+        assert restart[1] == sigmas[stage] == pytest.approx(convex._RESTART_SIGMA, rel=1e-9)
         np.testing.assert_allclose(restart[0], restart[1] / c, rtol=1e-6)
 
     def test_restart_opens_without_predictor(self):
-        # from a restart at the centre for weight 1e-2, the first stage runs
-        # there on its own Hessian, and every later stage opens with a
-        # predictor
+        # from a restart at the centre for weight _RESTART_SIGMA, the first
+        # stage runs there on its own Hessian, and every later stage opens
+        # with a predictor
+        sigma_r = convex._RESTART_SIGMA
         c = np.array([0.5, 2.0, 3.0])
         calls = []
 
@@ -508,11 +511,11 @@ class TestBarrierNewton:
 
         cfg = SolverConfig()
         x, restart = _barrier_newton(
-            1.0 / c, cfg, lambda x: (np.exp(-c * x), (x,)), newton, "toy", (0.01 / c, 1e-2)
+            1.0 / c, cfg, lambda x: (np.exp(-c * x), (x,)), newton, "toy", (sigma_r / c, sigma_r)
         )
-        assert calls[0] == (1e-2, 1e-2)
-        assert [h for sigma, h in calls if h != sigma][0] == 1e-2  # the first predictor
-        assert restart[1] == 1e-2
+        assert calls[0] == (sigma_r, sigma_r)
+        assert [h for sigma, h in calls if h != sigma][0] == sigma_r  # the first predictor
+        assert restart[1] == sigma_r
         np.testing.assert_allclose(x, cfg.tol_kkt * LN2 / 100.0 / c, rtol=1e-6)
 
     def test_rejected_candidates_leave_the_iterate_parts(self):
@@ -818,22 +821,44 @@ class TestBcd:
         assert moved > 0
 
     def test_each_block_restarts_from_its_last_call(self, monkeypatch):
-        inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
         calls = {"time": [], "power": []}
         for block, solver in BLOCK_SOLVERS.items():
             def recorded(inst, fixed, cfg=None, restart=None, block=block, solver=solver):
                 out = solver(inst, fixed, cfg, restart)
-                calls[block].append((restart, out[2]))
+                calls[block].append((cfg.tol_kkt, restart, out))
                 return out
 
             monkeypatch.setattr(convex, f"solve_{block}", recorded)
-        sched, trace = bcd(inst, sg_tdma(inst))
-        for seen in calls.values():
-            assert len(seen) == trace.rounds_used >= 3
-            assert seen[0][0] is None  # the first round starts cold
-            for (_, returned), (passed, _) in zip(seen, seen[1:]):
-                assert passed is returned
-            assert all(restart[1] == pytest.approx(1e-2, rel=1e-9) for _, restart in seen)
+        cfg = SolverConfig()
+        sigma_final = cfg.tol_kkt * LN2 / 100
+        # both frames stall uncertified and then run a finishing round
+        harvests = [20, 100, 1, 1, 1, 70, 100, 1, 10, 40]
+        for prefix in (0, 2):
+            inst = make_instance([0] * prefix + harvests, [19.0, 22.0, 25.0])
+            for seen in calls.values():
+                seen.clear()
+            sched, trace = bcd(inst, sg_tdma(inst), cfg)
+            for seen in calls.values():
+                assert len(seen) == trace.rounds_used >= 3
+                assert seen[0][1] is None  # the first round starts cold
+                tols = [tol for tol, _, _ in seen]
+                finish = tols.index(cfg.tol_kkt / 100)  # the finishing round
+                assert tols == [cfg.tol_kkt] * finish + [cfg.tol_kkt / 100] * (len(seen) - finish)
+                for i, ((_, _, out), (_, passed, _)) in enumerate(zip(seen, seen[1:]), start=1):
+                    if i == finish:  # the last call's final centre, at its weight
+                        last = out[0]
+                        free = last[..., last.shape[-1] - out[2][0].shape[-1]:]
+                        assert np.shares_memory(passed[0], last) and np.array_equal(passed[0], free)
+                        assert passed[1] == sigma_final
+                    else:
+                        assert passed is out[2]
+                # a call from above _RESTART_SIGMA returns the centre there;
+                # the deeper calls return the centre of their first stage
+                for i, (_, _, out) in enumerate(seen):
+                    expected = convex._RESTART_SIGMA if i < finish else sigma_final
+                    assert out[2][1] == pytest.approx(expected, rel=1e-9)
+            # the power path omits the zero-power prefix
+            assert calls["power"][finish][1][0].size == inst.n_slots - prefix
 
     def test_infeasible_init_rejected(self, row1_instance):
         bad = Schedule([5.0, 0.05], [[10.0, 0.0], [0.0, 10.0]])
@@ -871,23 +896,31 @@ class TestBcd:
         assert retrace.rounds_used == 1
         assert retrace.utilities[-1] - retrace.utilities[0] < cfg.tol_utility
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.data())
     def test_ends_certified_or_stalled_on_random_frames(self, data):
-        k = data.draw(st.integers(1, 6))
-        n = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 8))
         prefix = data.draw(st.integers(0, k - 1))
         harvests = [0.0] * prefix + data.draw(
             st.lists(st.floats(0.1, 100.0), min_size=k - prefix, max_size=k - prefix)
         )
         losses = data.draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
-        eps_frac = data.draw(st.floats(1e-12, 0.99))
+        eps_frac = data.draw(st.one_of(st.sampled_from([1e-12, 1e-9]), st.floats(1e-12, 0.99)))
         inst = make_instance(harvests, losses, epsilon_share=eps_frac * SLOT_S / n)
         # the CLI's start when sg-tdma starves a user
         start = Schedule(staircase_powers(inst), np.full((n, k), SLOT_S / n))
         cfg = SolverConfig()
+        tols = {"time": [], "power": []}
+        with pytest.MonkeyPatch.context() as mp:
+            for block, solver in BLOCK_SOLVERS.items():
+                def recorded(inst, fixed, cfg=None, restart=None, block=block, solver=solver):
+                    tols[block].append(cfg.tol_kkt)
+                    return solver(inst, fixed, cfg, restart)
 
-        sched, trace = bcd(inst, start, cfg)
+                mp.setattr(convex, f"solve_{block}", recorded)
+            sched, trace = bcd(inst, start, cfg)
+
         assert check_feasibility(inst, sched) == []
         assert np.all(np.diff(trace.utilities) >= 0)
         assert len(trace.residuals) == trace.rounds_used
@@ -898,6 +931,47 @@ class TestBcd:
         for heuristic in (sg_tdma(inst), ptf(inst)):
             if check_feasibility(inst, heuristic) == []:
                 assert trace.utilities[-1] >= score(inst, heuristic).utility_u - 1e-6
+
+        # both blocks tighten their tolerance at one round at most, for good
+        rounds = trace.rounds_used
+        finish = tols["time"].count(cfg.tol_kkt)  # rounds before the finishing round
+        expected = [cfg.tol_kkt] * finish + [cfg.tol_kkt / 100] * (rounds - finish)
+        assert tols["time"] == tols["power"] == expected
+        # no round before the last ends the run, and only the first stall at
+        # an uncertified point starts the finishing round
+        gains = np.diff(trace.utilities)
+        for i in range(rounds - 1):
+            assert max(trace.residuals[i]) > cfg.tol_kkt
+            assert (gains[i] < cfg.tol_utility) == (i == finish - 1)
+        # a stall at an uncertified point ends the run only after the
+        # finishing round, or on the round budget
+        assert certified or not stalled or finish < rounds or rounds == cfg.max_bcd_rounds
+        event("finishing round" if finish < rounds else "no finishing round")
+        if finish < rounds:
+            assert gains[finish] >= 0  # the finishing round never lowers utility
+
+    # two runs that ended on the stall stop uncertified with restarts at
+    # sigma = 1e-2 and no finishing round: their final utility and worst
+    # block residual then (the power block's on bench2x2, the time
+    # block's on the sweep frame)
+    STALLED = {
+        "bench2x2[60,20]@8.5": (32.957719221315415, 4.6613489597715244e-05),
+        "very-bursty-8": (112.2815327543189, 7.599925824859136e-05),
+    }
+
+    @pytest.mark.parametrize("name", list(STALLED))
+    def test_named_stalls_end_certified_or_closer(self, name):
+        if name == "very-bursty-8":
+            inst = builtin_scenario("very-bursty", "moderate", 8).instance
+        else:
+            inst = next(s.instance for s in bench_2x2_scenarios() if s.label == name)
+        cfg = SolverConfig()
+        sched, trace = bcd(inst, sg_tdma(inst), cfg)
+        utility, residual = self.STALLED[name]
+        worst = max(trace.residuals[-1])
+        assert worst <= cfg.tol_kkt or worst < residual
+        assert trace.utilities[-1] >= utility
+        assert check_feasibility(inst, sched) == []
 
 
 class TestNonconvergence:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from harvestsched import (
+    Schedule,
     check_feasibility,
     pronto,
     ptf,
@@ -12,6 +13,7 @@ from harvestsched import (
     user_priority,
     virtual_harvests,
 )
+from harvestsched import heuristics
 from harvestsched.structure import staircase_powers
 
 from conftest import make_instance, oracle_rate
@@ -169,3 +171,24 @@ class TestPronto:
     def test_shares_staircase_powers(self):
         inst = make_instance([90, 2, 0.5, 0.1, 0.3, 0.7, 40, 60], [19.0, 22.0])
         np.testing.assert_array_equal(pronto(inst).powers_p, staircase_powers(inst))
+
+
+@pytest.mark.parametrize(
+    "heuristic",
+    [sg_tdma, ptf, lambda inst: ptf(inst, min_share=True), pronto],
+    ids=["sg_tdma", "ptf", "ptf-min-share", "pronto"],
+)
+def test_schedule_keeps_the_heuristic_arrays(heuristic, monkeypatch):
+    # read-only arrays let the Schedule keep them instead of copying
+    built = []
+
+    def recorded(powers_p, shares_tau):
+        built.append((powers_p, shares_tau))
+        return Schedule(powers_p=powers_p, shares_tau=shares_tau)
+
+    monkeypatch.setattr(heuristics, "Schedule", recorded)
+    inst = make_instance([20.0, 0.0, 1.0, 70.0, 100.0, 10.0], [19.0, 22.0, 25.0])
+    sched = heuristic(inst)
+    (powers, shares), = built
+    assert sched.powers_p is powers
+    assert sched.shares_tau is shares
