@@ -10,11 +10,7 @@ from .model import (
     rate_matrix,
     score,
 )
-from .structure import (
-    VirtualHarvests,
-    sort_schedule_nondecreasing,
-    virtual_harvests,
-)
+from .structure import sort_schedule_nondecreasing, virtual_harvests
 from .convex import (
     BcdTrace,
     KktResidual,
@@ -46,7 +42,6 @@ __all__ = [
     "improvement_pct",
     "rate_matrix",
     "score",
-    "VirtualHarvests",
     "sort_schedule_nondecreasing",
     "virtual_harvests",
     "BcdTrace",

@@ -1,4 +1,4 @@
-"""Verified solvers for the two convex blocks and the alternating driver.
+"""Solvers for the two convex blocks and the certifying alternating driver.
 
 With shares fixed, the power problem maximizes the log-sum utility under
 cumulative energy budgets; with powers fixed, the time problem maximizes it
@@ -11,13 +11,13 @@ which each slack falls along it.  A block call starts from the restart
 point its previous call returned, a barrier centre at weight
 ``_RESTART_SIGMA``, or cold at weight 1; its first stage runs at that
 weight.  Every later stage opens with a predictor step, whose Hessian keeps
-the last stage's weight, and every stage ends on the Newton decrement.  The
-solver is deliberately decoupled from its certificate: every solution is
-checked through explicit KKT residuals whose multipliers are rebuilt from
-the candidate point alone, so any ascent scheme could be swapped in behind
-the same contract.  Each solver checks its fixed input, and each certifier
-its point, with the checks of ``model.check_feasibility`` for that
-variable, and raises :class:`InfeasiblePointError` on any violation.
+the last stage's weight, and every stage ends on the Newton decrement.  A
+block solver returns only its point and restart point; certificates are
+explicit KKT residuals whose multipliers are rebuilt from a point alone, so
+any ascent scheme could be swapped in behind the same contract.  Each
+solver checks its fixed input, and each certifier its point, with the
+checks of ``model.check_feasibility`` for that variable, and raises
+:class:`InfeasiblePointError` on any violation.
 
 On small frames numpy's per-call cost sets the time, so each Newton
 evaluation computes its pieces once: the interior test reads one minimum
@@ -36,9 +36,10 @@ The alternating driver runs the time block first, then the power block, and
 never accepts a half-step that lowers utility, so traces are monotone by
 construction.  It hands each block the restart point of that block's
 previous call: neither block's constraints depend on the other block's
-variable, so the point stays strictly interior.  It stops once both block
-residuals at a round's point, which the trace keeps, are within ``tol_kkt``
-(a block-stationary point) or the round gains less than ``tol_utility``.
+variable, so the point stays strictly interior.  It certifies both blocks
+once at each round's point, keeps the two residuals in the trace, and stops
+once both are within ``tol_kkt`` (a block-stationary point) or the round
+gains less than ``tol_utility``.
 A block call ends within about ``m * tol_kkt / 100`` of its optimum in
 utility, for m barrier terms, which can exceed ``tol_utility``; so the
 first such stall at an uncertified point instead tightens ``tol_kkt``
@@ -228,10 +229,11 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
     the rate at which each slack falls along it, and the merit slope.
 
     The path starts at ``restart = (x_r, sigma_r)`` when ``x_r`` has ``x``'s
-    shape and lies in the interior, and at ``x`` with weight 1 otherwise; the
-    first stage runs at that weight.  Each stage ends once the slope of its
-    own Newton step (``h_sigma == sigma``), the squared Newton decrement, is
-    at most ``0.1 * sigma`` (B&V 9.5.1); the weight then falls tenfold until
+    shape and lies in the interior and ``0 < sigma_r <= 1``, and at ``x``
+    with the cold start's weight 1 otherwise; the first stage runs at that
+    weight.  Each stage ends once the slope of its own Newton step
+    (``h_sigma == sigma``), the squared Newton decrement, is at most
+    ``0.1 * sigma`` (B&V 9.5.1); the weight then falls tenfold until
     ``tol_kkt * ln2 / 100``.  Every stage after the first opens with one
     predictor step whose Hessian keeps the previous weight: that is the
     primal-dual step with each bound's dual at the last centre, ``sigma_prev
@@ -249,7 +251,7 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
     """
 
     starts = [(x, 1.0)]
-    if restart is not None and np.shape(restart[0]) == np.shape(x):
+    if restart is not None and np.shape(restart[0]) == np.shape(x) and 0 < restart[1] <= 1:
         starts.insert(0, restart)
     for x, sigma in starts:
         A, slacks = parts(x)  # the accepted iterate's parts
@@ -294,17 +296,18 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
 # time block: fixed powers, optimize shares over per-slot simplices
 
 def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, restart=None):
-    """Optimal time shares for fixed powers, with a KKT certificate.
+    """Optimal time shares for fixed powers.
 
-    Returns ``(shares_tau, KktResidual, restart)``, ``shares_tau`` read-only
-    so a :class:`Schedule` keeps it uncopied.  The barrier keeps all shares
-    strictly positive, forcing a deterministic interior optimum (the
-    analytic center when the optimal face is flat); per-slot sums are exact
-    on return.  The path starts at equal shares, or at ``restart`` from an
-    earlier call on this instance (see :func:`_barrier_newton`).  The minimum
-    total share needs no barrier, since it never binds: at the optimum each
-    user has sum_t tau_nt lambda_t = 1 and T sum_t lambda_t = N, so its
-    total share is at least 1 / max_t lambda_t >= T/N > epsilon_share.
+    Returns ``(shares_tau, restart)``, ``shares_tau`` read-only so a
+    :class:`Schedule` keeps it uncopied; :func:`kkt_residual_time` certifies
+    it.  The barrier keeps all shares strictly positive, forcing a
+    deterministic interior optimum (the analytic center when the optimal
+    face is flat); per-slot sums are exact on return.  The path starts at
+    equal shares, or at ``restart`` from an earlier call on this instance
+    (see :func:`_barrier_newton`).  The minimum total share needs no
+    barrier, since it never binds: at the optimum each user has sum_t
+    tau_nt lambda_t = 1 and T sum_t lambda_t = N, so its total share is at
+    least 1 / max_t lambda_t >= T/N > epsilon_share.
     """
     cfg = cfg or SolverConfig()
     p = _checked_powers(inst, np.asarray(powers_p, dtype=float))
@@ -333,10 +336,7 @@ def solve_time(inst: Instance, powers_p, cfg: SolverConfig | None = None, restar
     )
     tau = tau * (T / tau.sum(axis=0, keepdims=True))  # exact slot sums
     tau.setflags(write=False)
-    # certify through the reconstruction path: it rebuilds multipliers from
-    # the point alone, which stays accurate even when binding constraints
-    # make the barrier's own sigma/slack multipliers ill-conditioned
-    return tau, kkt_residual_time(inst, p, tau), restart
+    return tau, restart
 
 
 def _newton_step_time(u, tau, grad, sigma, others):
@@ -407,15 +407,15 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
 # power block: fixed shares, optimize powers under cumulative energy budgets
 
 def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, restart=None):
-    """Optimal powers for fixed shares, with a KKT certificate.
+    """Optimal powers for fixed shares.
 
-    Returns ``(powers_p, KktResidual, restart)``, ``powers_p`` read-only as
-    in :func:`solve_time`.  Slots whose cumulative harvest is still zero are
-    pinned to zero power; the rest are solved by barrier Newton, so the
-    unique optimum of this strictly concave block is reached regardless of
-    the starting point.  The path starts at nine tenths of the staircase
-    powers, or at ``restart`` from an earlier call on this instance (see
-    :func:`_barrier_newton`).
+    Returns ``(powers_p, restart)``, ``powers_p`` read-only as in
+    :func:`solve_time`; :func:`kkt_residual_power` certifies it.  Slots
+    whose cumulative harvest is still zero are pinned to zero power; the
+    rest are solved by barrier Newton, so the unique optimum of this
+    strictly concave block is reached regardless of the starting point.  The
+    path starts at nine tenths of the staircase powers, or at ``restart``
+    from an earlier call on this instance (see :func:`_barrier_newton`).
     """
     cfg = cfg or SolverConfig()
     tau = np.asarray(shares_tau, dtype=float)
@@ -473,8 +473,7 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, res
         raise
     p_full = np.concatenate([pinned, p_free])
     p_full.setflags(write=False)
-    # reconstruction-path certificate, for the same reason as in solve_time
-    return p_full, kkt_residual_power(inst, tau, p_full), restart
+    return p_full, restart
 
 
 def kkt_residual_power(inst: Instance, shares_tau, powers_p) -> KktResidual:
@@ -508,12 +507,17 @@ def kkt_residual_power(inst: Instance, shares_tau, powers_p) -> KktResidual:
 # ---------------------------------------------------------------------------
 # alternating driver
 
-def _certify(certifier, inst: Instance, *point) -> KktResidual:
-    """``certifier`` at ``point``, or an ``inf`` residual where it cannot certify."""
+def _certify(certifier, inst: Instance, *point) -> float:
+    """``certifier``'s ``max_residual`` at ``point``, ``inf`` where it cannot certify.
+
+    The certifiers rebuild the multipliers from the point alone, which stays
+    accurate where binding constraints make the barrier's own sigma / slack
+    multipliers ill-conditioned.
+    """
     try:
-        return certifier(inst, *point)
+        return certifier(inst, *point).max_residual
     except ValueError:
-        return KktResidual(math.inf, {})
+        return math.inf
 
 
 def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
@@ -521,7 +525,7 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
 
     Each round solves the time block first, then the power block, each from
     the restart point of its previous call, accepting a half-step only when
-    it improves utility, and certifies both blocks at its point
+    it improves utility, and certifies both blocks once at its end point
     (``trace.residuals``).  The run converges once both residuals are
     within ``tol_kkt`` (a block-stationary point; Tseng, JOTA 2001) or a round
     gains less than ``tol_utility``, and otherwise ends on the round budget.
@@ -529,9 +533,11 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     blocks' ``tol_kkt`` falls a hundredfold, the next round (the finishing
     round) starts each block at its last call's final centre and weight, and
     the run ends on its next stall or certificate.  Subsolver nonconvergence
-    is downgraded to a trace warning and the best iterate is used.  Returns ``(schedule, BcdTrace)``; the schedule is
-    ``trace.schedules[-1]``, and ``trace.schedules[0]`` is ``init`` itself
-    unless an entry needed clamping to zero.
+    is downgraded to a trace warning and the best iterate is used.
+
+    Returns ``(schedule, BcdTrace)``; the schedule is ``trace.schedules[-1]``,
+    and ``trace.schedules[0]`` is ``init`` itself unless an entry needed
+    clamping to zero.
     """
     cfg = cfg or SolverConfig()
     _check_dims(inst, init)
@@ -547,37 +553,33 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     schedules = [sched]
     warnings: list[str] = []
     residuals: list[tuple[float, float]] = []
-    cert = [None, None]  # (time, power) certificates of sched; None once stale
     time_restart = power_restart = None  # each block's last restart point
     block_cfg = cfg
     for rounds in range(1, cfg.max_bcd_rounds + 1):
         try:
-            tau_new, kkt, time_restart = solve_time(inst, sched.powers_p, block_cfg, time_restart)
+            tau_new, time_restart = solve_time(inst, sched.powers_p, block_cfg, time_restart)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} time block: {err}")
-            tau_new, kkt = err.best, None
+            tau_new = err.best
         cand = Schedule(sched.powers_p, tau_new)
         u_new = score(inst, cand).utility_u
         if u_new > utility:
             sched, utility = cand, u_new
-            cert = [kkt, None]
 
         try:
-            p_new, kkt, power_restart = solve_power(inst, sched.shares_tau, block_cfg, power_restart)
+            p_new, power_restart = solve_power(inst, sched.shares_tau, block_cfg, power_restart)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} power block: {err}")
-            p_new, kkt = err.best, None
+            p_new = err.best
         cand = Schedule(p_new, sched.shares_tau)
         u_new = score(inst, cand).utility_u
         if u_new > utility:
             sched, utility = cand, u_new
-            cert = [None, kkt]
 
-        if cert[0] is None:
-            cert[0] = _certify(kkt_residual_time, inst, sched.powers_p, sched.shares_tau)
-        if cert[1] is None:
-            cert[1] = _certify(kkt_residual_power, inst, sched.shares_tau, sched.powers_p)
-        residuals.append((cert[0].max_residual, cert[1].max_residual))
+        residuals.append((
+            _certify(kkt_residual_time, inst, sched.powers_p, sched.shares_tau),
+            _certify(kkt_residual_power, inst, sched.shares_tau, sched.powers_p),
+        ))
         utilities.append(utility)
         schedules.append(sched)
         certified = max(residuals[-1]) <= cfg.tol_kkt

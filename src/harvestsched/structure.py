@@ -8,35 +8,22 @@ columns together, though the permuted schedule may lose energy causality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Instance, Schedule, _check_dims, _power_violations
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class VirtualHarvests:
-    """Deferral-transformed harvests and the slots where power steps up.
-
-    ``virtual_e[t] / T`` is the induced power of slot ``t``; the powers are
-    nondecreasing, conserve total energy, and never spend ahead of the
-    original cumulative harvests.  ``segment_boundaries`` lists the 0-based
-    slots where the induced power strictly increases.
-    """
-
-    virtual_e: np.ndarray
-    segment_boundaries: tuple
-
-
-def virtual_harvests(inst: Instance) -> VirtualHarvests:
+def virtual_harvests(inst: Instance) -> np.ndarray:
     """Equalize the harvest profile into its nondecreasing staircase.
 
-    Each segment carries the mean of the harvests it spans; merging adjacent
-    segments whenever the later mean does not exceed the earlier one yields
-    the fixed point of local energy deferral: segment means strictly
-    increase, prefix sums stay below the original prefix sums, and moving any
-    further energy forward is unnecessary.
+    Returns the deferral-transformed harvests, read-only: entry ``t`` over
+    ``T`` is the induced power of slot ``t``.  The powers are nondecreasing,
+    conserve total energy, and never spend ahead of the original cumulative
+    harvests.  Each segment carries the mean of the harvests it spans;
+    merging adjacent segments whenever the later mean does not exceed the
+    earlier one yields the fixed point of local energy deferral: segment
+    means strictly increase, prefix sums stay below the original prefix
+    sums, and moving any further energy forward is unnecessary.
     """
     sums: list[float] = []
     lens: list[int] = []
@@ -48,9 +35,8 @@ def virtual_harvests(inst: Instance) -> VirtualHarvests:
             sums[-1] += s
             lens[-1] += l
     virtual = np.concatenate([np.full(l, s / l) for s, l in zip(sums, lens)])
-    boundaries = tuple(int(b) for b in np.cumsum(lens[:-1]))
     virtual.setflags(write=False)
-    return VirtualHarvests(virtual_e=virtual, segment_boundaries=boundaries)
+    return virtual
 
 
 def staircase_powers(inst: Instance) -> np.ndarray:
@@ -60,7 +46,7 @@ def staircase_powers(inst: Instance) -> np.ndarray:
     which schedules keep without copying.
     """
     if inst._staircase is None:
-        powers = virtual_harvests(inst).virtual_e / inst.slot_length_t
+        powers = virtual_harvests(inst) / inst.slot_length_t
         powers.setflags(write=False)
         object.__setattr__(inst, "_staircase", powers)
     return inst._staircase

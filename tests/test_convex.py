@@ -69,33 +69,33 @@ class TestSolverConfig:
 class TestSolvePower:
     def test_binding_budget_row(self, row1_instance):
         tau = np.array([[10.0, 4.4129], [0.0, 5.5871]])
-        p, res, _ = solve_power(row1_instance, tau)
+        p, _ = solve_power(row1_instance, tau)
         np.testing.assert_allclose(p, [0.05, 5.0], atol=1e-4)
-        assert res.certified(1e-6)
+        assert kkt_residual_power(row1_instance, tau, p).certified(1e-6)
 
     def test_interior_split_row(self):
         inst = make_instance([50.0, 0.5], [19.0, 22.0])
         tau = np.array([[10.0, 0.2428], [0.0, 9.7572]])
-        p, res, _ = solve_power(inst, tau)
+        p, _ = solve_power(inst, tau)
         np.testing.assert_allclose(p, [2.2993, 2.7507], atol=1e-3)
-        assert res.certified(1e-6)
+        assert kkt_residual_power(inst, tau, p).certified(1e-6)
 
     def test_single_user_single_slot_spends_everything(self):
         inst = make_instance([7.0], [19.0])
-        p, res, _ = solve_power(inst, np.array([[10.0]]))
+        p, _ = solve_power(inst, np.array([[10.0]]))
         assert p[0] == pytest.approx(0.7, rel=1e-6)
-        assert res.certified(1e-6)
+        assert kkt_residual_power(inst, np.array([[10.0]]), p).certified(1e-6)
 
     def test_restarts_agree(self):
         # strict concavity: a restart from another share matrix's solve
         # lands on the same maximizer
         inst = make_instance([50.0, 0.5], [19.0, 22.0])
         tau = np.array([[10.0, 0.2428], [0.0, 9.7572]])
-        p_a, _, _ = solve_power(inst, tau)
-        _, _, restart_b = solve_power(inst, np.array([[9.0, 1.0], [1.0, 9.0]]))
-        _, _, restart_c = solve_power(inst, np.array([[0.1, 9.9], [9.9, 0.1]]))
-        p_b, _, _ = solve_power(inst, tau, restart=restart_b)
-        p_c, _, _ = solve_power(inst, tau, restart=restart_c)
+        p_a, _ = solve_power(inst, tau)
+        _, restart_b = solve_power(inst, np.array([[9.0, 1.0], [1.0, 9.0]]))
+        _, restart_c = solve_power(inst, np.array([[0.1, 9.9], [9.9, 0.1]]))
+        p_b, _ = solve_power(inst, tau, restart=restart_b)
+        p_c, _ = solve_power(inst, tau, restart=restart_c)
         u = [
             score(inst, Schedule(p, tau)).utility_u for p in (p_a, p_b, p_c)
         ]
@@ -107,10 +107,10 @@ class TestSolvePower:
         inst = make_instance([0.0, 0.0, 30.0, 10.0], [19.0, 22.0])
         T = inst.slot_length_t
         tau = np.full((2, 4), T / 2)
-        p, res, _ = solve_power(inst, tau)
+        p, _ = solve_power(inst, tau)
         assert p[0] == 0.0 and p[1] == 0.0
         assert np.all(p[2:] > 0)
-        assert res.certified(1e-6)
+        assert kkt_residual_power(inst, tau, p).certified(1e-6)
 
     def test_degenerate_shares_raise(self, row1_instance):
         tau = np.array([[10.0, 10.0], [0.0, 0.0]])
@@ -126,7 +126,7 @@ class TestSolvePower:
     def test_schedule_keeps_the_powers(self, harvests):
         inst = make_instance(harvests, [19.0, 22.0])
         tau = np.full((2, inst.n_slots), inst.slot_length_t / 2)
-        p, _, _ = solve_power(inst, tau)
+        p, _ = solve_power(inst, tau)
         assert not p.flags.writeable
         assert Schedule(p, tau).powers_p is p
 
@@ -164,22 +164,22 @@ class TestSolvePower:
 
 class TestSolveTime:
     def test_reference_split_low_high(self, row1_instance):
-        tau, res, _ = solve_time(row1_instance, [0.05, 5.0])
+        tau, _ = solve_time(row1_instance, [0.05, 5.0])
         np.testing.assert_allclose(tau, [[10.0, 4.4129], [0.0, 5.5871]], atol=1e-3)
-        assert res.certified(1e-6)
+        assert kkt_residual_time(row1_instance, [0.05, 5.0], tau).certified(1e-6)
         np.testing.assert_allclose(tau.sum(axis=0), [10.0, 10.0], rtol=1e-12)
 
     def test_single_user_gets_whole_frame(self):
         inst = make_instance([5.0, 20.0, 1.0], [19.0])
-        tau, res, _ = solve_time(inst, [0.5, 2.0, 0.1])
+        tau, _ = solve_time(inst, [0.5, 2.0, 0.1])
         np.testing.assert_allclose(tau, [[10.0, 10.0, 10.0]])
-        assert res.certified(1e-6)
+        assert kkt_residual_time(inst, [0.5, 2.0, 0.1], tau).certified(1e-6)
 
     def test_reference_split_interior_powers(self):
         inst = make_instance([50.0, 0.5], [19.0, 22.0])
-        tau, res, _ = solve_time(inst, [2.2993, 2.7507])
+        tau, _ = solve_time(inst, [2.2993, 2.7507])
         np.testing.assert_allclose(tau, [[10.0, 0.2431], [0.0, 9.7569]], atol=1e-3)
-        assert res.certified(1e-6)
+        assert kkt_residual_time(inst, [2.2993, 2.7507], tau).certified(1e-6)
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(223)
@@ -188,19 +188,19 @@ class TestSolveTime:
             inst = make_instance(harvests, list(rng.uniform(1, 35, size=2)))
             p = rng.uniform(0.02, 1.0, size=2)
             p *= 0.9 * float((inst.cum_harvests / (np.cumsum(p) * 10.0)).min())
-            tau, _, _ = solve_time(inst, p)
+            tau, _ = solve_time(inst, p)
             u = score(inst, Schedule(p, tau)).utility_u
             assert u >= grid_search_2x2(inst, p) - 1e-3
 
     def test_zero_power_slot_is_split_evenly(self):
         inst = make_instance([0.0, 20.0], [19.0, 22.0])
-        tau, res, _ = solve_time(inst, [0.0, 2.0])
+        tau, _ = solve_time(inst, [0.0, 2.0])
         np.testing.assert_allclose(tau[:, 0], [5.0, 5.0], atol=1e-6)
-        assert res.certified(1e-6)
+        assert kkt_residual_time(inst, [0.0, 2.0], tau).certified(1e-6)
 
     def test_schedule_keeps_the_shares(self, row1_instance):
         p = np.array([0.05, 5.0])
-        tau, _, _ = solve_time(row1_instance, p)
+        tau, _ = solve_time(row1_instance, p)
         assert not tau.flags.writeable
         assert Schedule(p, tau).shares_tau is tau
 
@@ -263,6 +263,13 @@ def random_frame(seed, n_slots, n_users):
 
 
 BLOCK_SOLVERS = {"time": solve_time, "power": solve_power}
+
+
+def certify(inst, block, fixed, x):
+    """The block's KKT residual at its variable ``x`` for the fixed input."""
+    if block == "time":
+        return kkt_residual_time(inst, fixed, x)
+    return kkt_residual_power(inst, fixed, x)
 
 
 def perturbed_block_inputs(inst, block):
@@ -342,6 +349,24 @@ class TestTimeNewtonStep:
                     scale = max(np.abs(ref).max(), 1e-6 * T)  # one user: both are ~0
                     assert np.abs(d - ref).max() <= tol * scale, (zero_slot, alpha, sigma)
 
+    def test_g_diagonal_sums_over_the_other_users(self):
+        # shares floored at 1e-9 T with sigma = 1e-13: both terms of G's
+        # diagonal, sum_t u w and sum_t w^2 / total, grow as 1/sigma, and
+        # subtracting them leaves a step residual of 1.8e-6 on this frame,
+        # against 1.6e-9 when each slot's D^{-1} is summed over the others
+        inst = random_frame(30, 5, 2)
+        rng = np.random.default_rng(30)
+        N, K, T = inst.n_users, inst.n_slots, inst.slot_length_t
+        rates = rate_matrix(inst, sg_tdma(inst).powers_p)
+        tau = np.maximum(rng.dirichlet(np.full(N, 0.05), size=K).T * T, 1e-9 * T)
+        tau *= T / tau.sum(axis=0)
+        A = (tau * rates).sum(axis=1)
+        u = rates / A[:, None]
+        sigma = 1e-13
+        grad = u + sigma / tau
+        d = _newton_step_time(u, tau, grad, sigma, 1.0 - np.eye(N))
+        assert time_step_kkt_residual(rates, tau, A, grad, sigma, d) <= 5e-8
+
     def test_solves_no_system_above_order_n(self, monkeypatch):
         inst = random_frame(5, 24, 16)
         orders = []
@@ -352,9 +377,10 @@ class TestTimeNewtonStep:
             return real_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        tau, res, _ = solve_time(inst, sg_tdma(inst).powers_p)
+        powers = sg_tdma(inst).powers_p
+        tau, _ = solve_time(inst, powers)
         assert orders and max(orders) <= inst.n_users
-        assert res.certified(1e-6)
+        assert kkt_residual_time(inst, powers, tau).certified(1e-6)
 
 
 def termwise_power_step(inst, shares, p, sigma, h_sigma):
@@ -459,7 +485,7 @@ class TestBarrierNewton:
         inst = builtin_scenario(profile, "moderate", 8).instance
         solver = BLOCK_SOLVERS[block]
         first, second = perturbed_block_inputs(inst, block)
-        restart = solver(inst, first)[2]
+        restart = solver(inst, first)[1]
         solves = count_solves(monkeypatch)
         solver(inst, second, restart=restart)
         assert len(solves) <= self.RESTART_SOLVE_BOUNDS[profile][block]
@@ -593,7 +619,7 @@ class TestBarrierNewton:
             inst = builtin_scenario(frame, "moderate", 8).instance
         solver = BLOCK_SOLVERS[block]
         first, second = perturbed_block_inputs(inst, block)
-        restart = solver(inst, first)[2] if start == "restart" else None
+        restart = solver(inst, first)[1] if start == "restart" else None
         real_driver = convex._barrier_newton
         events = []
 
@@ -652,6 +678,18 @@ class TestBarrierNewton:
             assert np.all(slack - alpha * rate > 0)
 
 
+# restart weights outside (0, 1], the cold start's weight: in the barrier, a
+# negative one flips the sign of the slack terms, a zero one leaves the
+# Newton system without its barrier curvature and an infinite one overflows
+BAD_RESTART_WEIGHTS = {
+    "negative_weight": -1e-3,
+    "zero_weight": 0.0,
+    "infinite_weight": math.inf,
+    "nan_weight": math.nan,
+    "weight_above_cold": 10.0,
+}
+
+
 class TestRestart:
     @pytest.mark.parametrize("block", ["time", "power"])
     @pytest.mark.parametrize("frame", [*HARVEST_PROFILES, "frame80x2"])
@@ -662,13 +700,14 @@ class TestRestart:
             inst = builtin_scenario(frame, "moderate", 8).instance
         solver = BLOCK_SOLVERS[block]
         first, second = perturbed_block_inputs(inst, block)
-        restart = solver(inst, first)[2]
+        restart = solver(inst, first)[1]
         solves = count_solves(monkeypatch)
-        cold, cold_res, _ = solver(inst, second)
+        cold, _ = solver(inst, second)
         cold_solves = len(solves)
-        warm, warm_res, _ = solver(inst, second, restart=restart)
+        warm, _ = solver(inst, second, restart=restart)
         assert len(solves) - cold_solves < cold_solves
-        assert cold_res.certified(1e-6) and warm_res.certified(1e-6)
+        assert certify(inst, block, second, cold).certified(1e-6)
+        assert certify(inst, block, second, warm).certified(1e-6)
         utilities = [
             score(inst, Schedule(second, x) if block == "time" else Schedule(x, second)).utility_u
             for x in (cold, warm)
@@ -682,6 +721,7 @@ class TestRestart:
     @pytest.mark.parametrize(("block", "bad"), [
         *((block, bad) for block in ("time", "power") for bad in ("shape", "boundary", "outside")),
         ("time", "slot_sums"),
+        *((block, bad) for block in ("time", "power") for bad in BAD_RESTART_WEIGHTS),
     ])
     @pytest.mark.parametrize("frame", ["bursty-4", "zero-prefix"])
     def test_unusable_restart_gives_cold_start(self, frame, block, bad):
@@ -691,9 +731,11 @@ class TestRestart:
             inst = builtin_scenario("bursty", "moderate", 4).instance
         solver = BLOCK_SOLVERS[block]
         first, second = perturbed_block_inputs(inst, block)
-        x, sigma = solver(inst, first)[2]
+        x, sigma = solver(inst, first)[1]
         x = x.copy()
-        if bad == "shape":
+        if bad in BAD_RESTART_WEIGHTS:
+            sigma = BAD_RESTART_WEIGHTS[bad]
+        elif bad == "shape":
             x = np.append(x, x[..., -1:], axis=-1)
         elif bad == "slot_sums":
             x *= 1.01
@@ -707,22 +749,23 @@ class TestRestart:
         cold = solver(inst, second)
         got = solver(inst, second, restart=(x, sigma))
         assert np.array_equal(got[0], cold[0])
-        assert got[1].max_residual == cold[1].max_residual
-        assert np.array_equal(got[2][0], cold[2][0]) and got[2][1] == cold[2][1]
+        assert (certify(inst, block, second, got[0]).max_residual
+                == certify(inst, block, second, cold[0]).max_residual)
+        assert np.array_equal(got[1][0], cold[1][0]) and got[1][1] == cold[1][1]
 
 
 class TestKktResiduals:
     def test_refit_certifies_solver_output(self, row1_instance):
-        tau, _, _ = solve_time(row1_instance, [0.05, 5.0])
+        tau, _ = solve_time(row1_instance, [0.05, 5.0])
         refit = kkt_residual_time(row1_instance, [0.05, 5.0], tau)
         assert refit.certified(1e-6)
-        p, _, _ = solve_power(row1_instance, tau)
+        p, _ = solve_power(row1_instance, tau)
         refit_p = kkt_residual_power(row1_instance, tau, p)
         assert refit_p.certified(1e-6)
         assert np.all(refit_p.multipliers["lambda"] >= 0)
 
     def test_perturbed_point_fails(self, row1_instance):
-        tau, _, _ = solve_time(row1_instance, [0.05, 5.0])
+        tau, _ = solve_time(row1_instance, [0.05, 5.0])
         bumped = tau.copy()
         bumped[0, 1] += 0.5
         bumped[1, 1] -= 0.5
@@ -847,16 +890,16 @@ class TestBcd:
                 for i, ((_, _, out), (_, passed, _)) in enumerate(zip(seen, seen[1:]), start=1):
                     if i == finish:  # the last call's final centre, at its weight
                         last = out[0]
-                        free = last[..., last.shape[-1] - out[2][0].shape[-1]:]
+                        free = last[..., last.shape[-1] - out[1][0].shape[-1]:]
                         assert np.shares_memory(passed[0], last) and np.array_equal(passed[0], free)
                         assert passed[1] == sigma_final
                     else:
-                        assert passed is out[2]
+                        assert passed is out[1]
                 # a call from above _RESTART_SIGMA returns the centre there;
                 # the deeper calls return the centre of their first stage
                 for i, (_, _, out) in enumerate(seen):
                     expected = convex._RESTART_SIGMA if i < finish else sigma_final
-                    assert out[2][1] == pytest.approx(expected, rel=1e-9)
+                    assert out[1][1] == pytest.approx(expected, rel=1e-9)
             # the power path omits the zero-power prefix
             assert calls["power"][finish][1][0].size == inst.n_slots - prefix
 
@@ -895,6 +938,36 @@ class TestBcd:
         _, retrace = bcd(inst, sched, cfg)
         assert retrace.rounds_used == 1
         assert retrace.utilities[-1] - retrace.utilities[0] < cfg.tol_utility
+
+    # a finishing round, one after a zero-harvest prefix, a run that stops
+    # certified, and one whose starved blocks end in warnings
+    CERTIFIED_RUNS = {
+        "finishing": lambda: (make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0]), SolverConfig()),
+        "zero-prefix": lambda: (make_instance([0, 0, 20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0]), SolverConfig()),
+        "frame80x2": lambda: (random_frame(2, 80, 2), SolverConfig()),
+        "starved": lambda: (make_instance([0.5, 50.0], [19.0, 22.0]), SolverConfig(max_inner_iters=3, max_bcd_rounds=2)),
+    }
+
+    @pytest.mark.parametrize("run", list(CERTIFIED_RUNS))
+    def test_certifies_each_round_end_once(self, run, monkeypatch):
+        inst, cfg = self.CERTIFIED_RUNS[run]()
+        calls = []
+        for name in ("kkt_residual_time", "kkt_residual_power"):
+            def counted(*args, real=getattr(convex, name)):
+                calls.append(1)
+                return real(*args)
+
+            monkeypatch.setattr(convex, name, counted)
+        _, trace = bcd(inst, sg_tdma(inst), cfg)
+        assert len(calls) == 2 * trace.rounds_used
+        assert bool(trace.warnings) == (run == "starved")
+        assert len(trace.residuals) == trace.rounds_used == len(trace.schedules) - 1
+        for row, sched in zip(trace.residuals, trace.schedules[1:]):
+            fresh = (
+                kkt_residual_time(inst, sched.powers_p, sched.shares_tau).max_residual,
+                kkt_residual_power(inst, sched.shares_tau, sched.powers_p).max_residual,
+            )
+            assert tuple(row) == fresh
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.data())
@@ -1043,13 +1116,15 @@ class TestBlockProperties:
         inst, powers, shares = problem
         T, n = inst.slot_length_t, inst.n_users
 
-        tau, res, _ = solve_time(inst, powers)
+        tau, _ = solve_time(inst, powers)
+        res = kkt_residual_time(inst, powers, tau)
         assert res.certified(1e-6), res
         assert np.all(np.abs(tau.sum(axis=0) - T) <= 1e-12 * T)
         assert np.all(tau.sum(axis=1) >= T / n * (1 - 1e-6))
         assert check_feasibility(inst, Schedule(powers, tau)) == []
 
-        p, res, _ = solve_power(inst, shares)
+        p, _ = solve_power(inst, shares)
+        res = kkt_residual_power(inst, shares, p)
         assert res.certified(1e-6), res
         assert check_feasibility(inst, Schedule(p, shares)) == []
 

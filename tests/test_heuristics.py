@@ -58,7 +58,7 @@ class TestPtf:
     def test_shares_staircase_powers(self):
         inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0])
         np.testing.assert_array_equal(
-            ptf(inst).powers_p, virtual_harvests(inst).virtual_e / inst.slot_length_t
+            ptf(inst).powers_p, virtual_harvests(inst) / inst.slot_length_t
         )
         np.testing.assert_array_equal(ptf(inst).powers_p, staircase_powers(inst))
 

@@ -24,41 +24,36 @@ def random_instances(rng, count, max_slots=20):
 
 class TestVirtualHarvests:
     def test_decreasing_pair_equalizes(self):
-        vh = virtual_harvests(make_instance([50.0, 0.5], [19.0, 22.0]))
-        np.testing.assert_allclose(vh.virtual_e, [25.25, 25.25])
-        assert vh.segment_boundaries == ()
+        v = virtual_harvests(make_instance([50.0, 0.5], [19.0, 22.0]))
+        np.testing.assert_allclose(v, [25.25, 25.25])
 
     def test_nondecreasing_unchanged(self):
-        vh = virtual_harvests(make_instance([0.5, 50.0], [19.0, 22.0]))
-        np.testing.assert_allclose(vh.virtual_e, [0.5, 50.0])
-        assert vh.segment_boundaries == (1,)
+        v = virtual_harvests(make_instance([0.5, 50.0], [19.0, 22.0]))
+        np.testing.assert_allclose(v, [0.5, 50.0])
 
     def test_two_slot_split(self):
         # brute force over feasible nondecreasing two-slot splits conserving
         # 80 J: v0 <= v1, v0 <= 60, v0 + v1 = 80 -> v0 <= 40, and the
         # deferral fixed point takes the largest feasible v0
-        vh = virtual_harvests(make_instance([60.0, 20.0], [19.0, 22.0]))
-        np.testing.assert_allclose(vh.virtual_e, [40.0, 40.0])
+        v = virtual_harvests(make_instance([60.0, 20.0], [19.0, 22.0]))
+        np.testing.assert_allclose(v, [40.0, 40.0])
 
     def test_segment_boundaries_mark_strict_increases(self):
         inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0])
-        vh = virtual_harvests(inst)
-        steps = tuple(
-            t for t in range(1, inst.n_slots) if vh.virtual_e[t] > vh.virtual_e[t - 1]
-        )
-        assert vh.segment_boundaries == steps == (1, 5)
+        v = virtual_harvests(inst)
+        steps = tuple(t for t in range(1, inst.n_slots) if v[t] > v[t - 1])
+        assert steps == (1, 5)
 
     def test_random_profile_properties(self):
         rng = np.random.default_rng(3)
         for inst in random_instances(rng, 1000):
-            vh = virtual_harvests(inst)
-            v = vh.virtual_e
+            v = virtual_harvests(inst)
             scale = inst.total_harvest
             assert np.all(np.diff(v) >= -1e-12 * scale)
             assert np.all(np.cumsum(v) <= inst.cum_harvests + 1e-9 * scale)
             assert v.sum() == pytest.approx(scale, rel=1e-12)
             again = virtual_harvests(make_instance(np.maximum(v, 0.0), [19.0]))
-            np.testing.assert_allclose(again.virtual_e, v, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(again, v, rtol=1e-12, atol=1e-12 * scale)
 
     def test_matches_pairwise_equalization_limit(self):
         rng = np.random.default_rng(5)
@@ -68,8 +63,8 @@ class TestVirtualHarvests:
             if not np.any(e > 0):
                 e[0] = 5.0
             limit = pairwise_deferral_limit(e)
-            vh = virtual_harvests(make_instance(e, [19.0]))
-            np.testing.assert_allclose(vh.virtual_e, limit, atol=1e-6)
+            v = virtual_harvests(make_instance(e, [19.0]))
+            np.testing.assert_allclose(v, limit, atol=1e-6)
 
     def test_prefix_maximal_among_grid_allocations(self):
         # The staircase defers the least energy possible: its prefix sums
@@ -91,7 +86,7 @@ class TestVirtualHarvests:
                 if not np.any(e > 0):
                     continue
                 inst = make_instance(e, [19.0])
-                stair_prefix = np.cumsum(virtual_harvests(inst).virtual_e)
+                stair_prefix = np.cumsum(virtual_harvests(inst))
                 total_units = int(round(e.sum() / 0.5))
                 cum = np.cumsum(e)
                 for alloc in grid_allocs(total_units, k):
