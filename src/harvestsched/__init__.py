@@ -29,7 +29,7 @@ from .heuristics import (
     sg_tdma,
     user_priority,
 )
-from .oracle2x2 import TwoByTwoCase, kkt_check_2x2, optimal_2x2
+from .oracle2x2 import TwoByTwoCase, optimal_2x2
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "sg_tdma",
     "user_priority",
     "TwoByTwoCase",
-    "kkt_check_2x2",
     "optimal_2x2",
     "__version__",
 ]

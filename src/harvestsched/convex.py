@@ -229,17 +229,17 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
     the rate at which each slack falls along it, and the merit slope.
 
     The path starts at ``restart = (x_r, sigma_r)`` when ``x_r`` has ``x``'s
-    shape and lies in the interior and ``0 < sigma_r <= 1``, and at ``x``
-    with the cold start's weight 1 otherwise; the first stage runs at that
-    weight.  Each stage ends once the slope of its own Newton step
-    (``h_sigma == sigma``), the squared Newton decrement, is at most
-    ``0.1 * sigma`` (B&V 9.5.1); the weight then falls tenfold until
-    ``tol_kkt * ln2 / 100``.  Every stage after the first opens with one
-    predictor step whose Hessian keeps the previous weight: that is the
-    primal-dual step with each bound's dual at the last centre, ``sigma_prev
-    / slack`` (B&V 11.7; Nocedal & Wright ch. 19), and it carries a
-    separable barrier term onto its new centre in one full step, where the
-    stage's own Hessian overshoots ninefold.
+    shape and lies in the interior and ``sigma_r`` lies in [final weight,
+    1], and at ``x`` with the cold start's weight 1 otherwise; the first
+    stage runs at that weight.  Each stage ends once the slope of its own
+    Newton step (``h_sigma == sigma``), the squared Newton decrement, is at
+    most ``0.1 * sigma`` (B&V 9.5.1); the weight then falls tenfold until
+    the final weight ``tol_kkt * ln2 / 100``.  Every stage after the first
+    opens with one predictor step whose Hessian keeps the previous weight:
+    that is the primal-dual step with each bound's dual at the last centre,
+    ``sigma_prev / slack`` (B&V 11.7; Nocedal & Wright ch. 19), and it
+    carries a separable barrier term onto its new centre in one full step,
+    where the stage's own Hessian overshoots ninefold.
 
     Returns ``(x, restart)``: the last centre, and the centre and weight of
     the first stage at or below ``_RESTART_SIGMA`` (``None`` when the path
@@ -250,15 +250,16 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
     included) are spent.
     """
 
+    sigma_final = cfg.tol_kkt * LN2 / 100.0
     starts = [(x, 1.0)]
-    if restart is not None and np.shape(restart[0]) == np.shape(x) and 0 < restart[1] <= 1:
+    if (restart is not None and np.shape(restart[0]) == np.shape(x)
+            and sigma_final <= restart[1] <= 1):
         starts.insert(0, restart)
     for x, sigma in starts:
         A, slacks = parts(x)  # the accepted iterate's parts
         if _merit(A, slacks, sigma) > -math.inf:
             break
     h_sigma = sigma
-    sigma_final = cfg.tol_kkt * LN2 / 100.0
     iters = 0
     next_restart = None
     while True:

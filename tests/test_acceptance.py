@@ -17,7 +17,7 @@ from harvestsched import (
     bcd,
     check_feasibility,
     improvement_pct,
-    kkt_check_2x2,
+    kkt_residual_time,
     optimal_2x2,
     power_utility_gradient,
     pronto,
@@ -30,7 +30,7 @@ from harvestsched import (
 )
 from harvestsched.cli import HARVEST_PROFILES, builtin_scenario
 
-from conftest import grid_search_2x2, make_instance
+from conftest import BRANCH_CASES_2x2, grid_search_2x2, make_instance
 
 # harvests, path losses, reference powers, reference optimal split,
 # reference utility -- the reference two-user/two-slot benchmark set
@@ -101,25 +101,16 @@ def test_02_oracle_branches_and_grid_cross_check():
     start = time.perf_counter()
     # reachable branch matrix: both power orders x both ratio orders plus the
     # equal-ratio (equal-gain) and equal-power rows
-    branch_cases = [
-        ([0.5, 50.0], [19.0, 22.0], [0.05, 5.0]),    # p1<p2, g1<g2
-        ([0.5, 50.0], [22.0, 19.0], [0.05, 5.0]),    # p1<p2, g1>g2
-        ([0.5, 50.0], [21.0, 21.0], [0.05, 5.0]),    # p1<p2, g1=g2
-        ([50.0, 0.5], [19.0, 22.0], [3.0, 2.05]),    # p1>p2, g1>g2
-        ([50.0, 0.5], [22.0, 19.0], [3.0, 2.05]),    # p1>p2, g1<g2
-        ([50.0, 0.5], [21.0, 21.0], [3.0, 2.05]),    # p1>p2, g1=g2
-        ([30.0, 30.0], [19.0, 22.0], [2.0, 2.0]),    # p1=p2
-    ]
     seen = set()
-    for harvests, losses, powers in branch_cases:
+    for harvests, losses, powers in BRANCH_CASES_2x2:
         inst = make_instance(harvests, losses)
         case = optimal_2x2(inst, powers)
         seen.add(case.branch)
-        ok, detail = kkt_check_2x2(inst, powers, case.tau_star, tol=1e-6)
-        assert ok, (case.branch, detail)
+        res = kkt_residual_time(inst, powers, case.tau_star)
+        assert res.certified(1e-12), (case.branch, res.max_residual)
         for alt in case.alternates:
-            ok, detail = kkt_check_2x2(inst, powers, alt, tol=1e-6)
-            assert ok, (case.branch, detail)
+            res = kkt_residual_time(inst, powers, alt)
+            assert res.certified(1e-12), (case.branch, res.max_residual)
     assert len(seen) == 7
 
     rng = np.random.default_rng(1009)

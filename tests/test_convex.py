@@ -678,15 +678,22 @@ class TestBarrierNewton:
             assert np.all(slack - alpha * rate > 0)
 
 
-# restart weights outside (0, 1], the cold start's weight: in the barrier, a
-# negative one flips the sign of the slack terms, a zero one leaves the
-# Newton system without its barrier curvature and an infinite one overflows
+# restart weights outside [final weight, 1], from the default config's final
+# weight tol_kkt * ln2 / 100 = 6.9e-9 to the cold start's weight: in the
+# barrier, a negative one flips the sign of the slack terms, a zero one leaves
+# the Newton system without its barrier curvature and an infinite one
+# overflows; one below the final weight would be the call's only stage, so
+# the call would end there (at 1e-30 with time shares at residual 3.2e-3),
+# or overflow (1e-300)
 BAD_RESTART_WEIGHTS = {
     "negative_weight": -1e-3,
     "zero_weight": 0.0,
     "infinite_weight": math.inf,
     "nan_weight": math.nan,
     "weight_above_cold": 10.0,
+    "weight_below_final": 1e-9,
+    "tiny_weight": 1e-30,
+    "underflowing_weight": 1e-300,
 }
 
 

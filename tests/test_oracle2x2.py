@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from harvestsched import Schedule, kkt_check_2x2, optimal_2x2, score
+from harvestsched import Schedule, kkt_residual_time, optimal_2x2, score
 from harvestsched.convex import InfeasiblePointError
 
-from conftest import grid_search_2x2, make_instance
+from conftest import BRANCH_CASES_2x2, grid_search_2x2, make_instance, table_2x2
 
 
 def random_2x2(rng):
@@ -121,6 +121,36 @@ class TestOptimal2x2:
             p[1] = p[0] * (1.0 + delta)
             assert optimal_2x2(inst, p).branch == "p1=p2,gamma1=gamma2"
 
+    def test_matches_table(self):
+        # the one rule against the paper's nine-branch table: on every branch
+        # case, on random draws, on equal path losses (exactly tied ratios;
+        # on p1>p2 the table's tied row splits by the other user's gamma, so
+        # ratios tied only within 1e-12 would differ in the last bits) and on
+        # powers equal to within 1e-16 to 1e-12 relative
+        cases = [
+            (make_instance(h, losses), np.array(p, dtype=float))
+            for h, losses, p in BRANCH_CASES_2x2
+        ]
+        rng = np.random.default_rng(127)
+        for i in range(3000):
+            inst, p = random_2x2(rng)
+            if i % 3 == 1:
+                inst = make_instance(inst.harvests_e, [inst.path_loss_db[0]] * 2)
+            elif i % 3 == 2:
+                p[1] = p[0] * (1.0 + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-16, -12))
+            cases.append((inst, p))
+        branches = set()
+        for inst, p in cases:
+            case = optimal_2x2(inst, p)
+            tau, alternates, utility = table_2x2(inst, p)
+            branches.add(case.branch)
+            assert np.array_equal(case.tau_star, tau), case.branch
+            assert len(case.alternates) == len(alternates), case.branch
+            for got, want in zip(case.alternates, alternates):
+                assert np.array_equal(got, want), case.branch
+            assert abs(case.utility_star - utility) <= 1e-13, case.branch
+        assert len(branches) == 7
+
     def test_branch_continuity_at_equal_ratios(self):
         # ratios coincide exactly when gains do; approaching equal gains from
         # both sides, branch utilities meet the equal-ratio value
@@ -139,38 +169,33 @@ class TestOptimal2x2:
 
 
 class TestKktCheck2x2:
+    """The 2x2 splits through the time block's certifier."""
+
     def test_oracle_outputs_certify(self):
         rng = np.random.default_rng(107)
         for _ in range(200):
             inst, p = random_2x2(rng)
             case = optimal_2x2(inst, p)
-            ok, detail = kkt_check_2x2(inst, p, case.tau_star, tol=1e-6)
-            assert ok, detail
+            res = kkt_residual_time(inst, p, case.tau_star)
+            assert res.certified(1e-12), res.max_residual
             for alt in case.alternates:
-                ok_alt, _ = kkt_check_2x2(inst, p, alt, tol=1e-6)
-                assert ok_alt
+                assert kkt_residual_time(inst, p, alt).certified(1e-12)
 
     def test_even_split_fails(self, row1_instance):
-        ok, detail = kkt_check_2x2(
-            row1_instance, [0.05, 5.0], [[5.0, 5.0], [5.0, 5.0]], tol=1e-6
-        )
-        assert not ok
-        assert detail["comp_share"] > 1e-6
-        assert detail["reduced_balance"] > 1e-6
+        res = kkt_residual_time(row1_instance, [0.05, 5.0], [[5.0, 5.0], [5.0, 5.0]])
+        assert res.max_residual > 1e-6
 
     def test_reference_iterate_certifies_loosely(self):
         inst = make_instance([50.0, 0.5], [19.0, 22.0])
-        ok, detail = kkt_check_2x2(
-            inst, [2.2993, 2.7507], [[10.0, 0.2428], [0.0, 9.7572]], tol=1e-3
-        )
-        assert ok, detail
+        res = kkt_residual_time(inst, [2.2993, 2.7507], [[10.0, 0.2428], [0.0, 9.7572]])
+        assert res.certified(1e-3), res.max_residual
 
     def test_infeasible_shares_rejected(self, row1_instance):
         with pytest.raises(InfeasiblePointError):
-            kkt_check_2x2(row1_instance, [0.05, 5.0], [[10.0, 10.0], [5.0, 5.0]])
+            kkt_residual_time(row1_instance, [0.05, 5.0], [[10.0, 10.0], [5.0, 5.0]])
 
     def test_min_share_breach_rejected(self):
         # signs and slot sums hold; only user 2's total share is below epsilon
         inst = make_instance([0.5, 50.0], [19.0, 22.0], epsilon_share=1.0)
         with pytest.raises(InfeasiblePointError):
-            kkt_check_2x2(inst, [0.05, 5.0], [[9.5, 10.0], [0.5, 0.0]])
+            kkt_residual_time(inst, [0.05, 5.0], [[9.5, 10.0], [0.5, 0.0]])
