@@ -29,7 +29,7 @@ from .heuristics import (
     sg_tdma,
     user_priority,
 )
-from .oracle2x2 import TwoByTwoCase, optimal_2x2
+from .oracle2x2 import optimal_2x2
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "ptf",
     "sg_tdma",
     "user_priority",
-    "TwoByTwoCase",
     "optimal_2x2",
     "__version__",
 ]

@@ -206,7 +206,7 @@ def _run_algorithm(inst: Instance, algorithm: str, cfg: SolverConfig, min_share:
             start = Schedule(staircase_powers(inst), shares)
         sched, trace = bcd(inst, start, cfg)
         if algorithm == "oracle2x2":  # bcd's powers, closed-form shares
-            sched = Schedule(sched.powers_p, optimal_2x2(inst, sched.powers_p).tau_star)
+            sched = Schedule(sched.powers_p, optimal_2x2(inst, sched.powers_p))
         return sched, trace.warnings
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -395,10 +395,11 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", required=True,
-                   help="scenario file, builtin name (regular|bursty|very-bursty), or "
-                        "bench2x2; sweep ignores it and runs all three profiles")
+def _add_common(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    p.add_argument("--scenario", required=not sweep,
+                   help="optional and unused: sweep runs all three profiles" if sweep else
+                        "scenario file, builtin name (regular|bursty|very-bursty), or "
+                        "bench2x2 (which takes no --case or --users)")
     p.add_argument("--case", choices=sorted(PATHLOSS_START_DB), default=None)
     p.add_argument("--users", default=None,
                    help="user count, or A..B range for sweep")
@@ -436,6 +437,8 @@ def _users_value(args) -> int | None:
 def _resolve_scenarios(args, cfg: SolverConfig) -> list:
     name = args.scenario
     if name == "bench2x2":
+        if args.case or args.users is not None:
+            raise ScenarioError("bench2x2 takes no --case or --users")
         return bench_2x2_scenarios(cfg)
     if name in HARVEST_PROFILES:
         users = _users_value(args)
@@ -465,7 +468,7 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser("compare", help="run every algorithm, baseline first")
     _add_common(p_cmp)
     p_swp = sub.add_parser("sweep", help="compare across a range of user counts")
-    _add_common(p_swp)
+    _add_common(p_swp, sweep=True)
 
     try:
         args = parser.parse_args(argv)

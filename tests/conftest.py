@@ -77,11 +77,13 @@ BRANCH_CASES_2x2 = [
 
 
 def table_2x2(inst: Instance, powers):
-    """The paper's 2x2 split as a table: ``(tau, alternates, utility)``.
+    """The paper's 2x2 split as a table: ``(tau, alternates, utility, branch)``.
 
     One branch per power order and ratio order, each with its own
     closed-form utility, compared with the same relative tolerance as
-    ``oracle2x2._rel_cmp``.
+    ``oracle2x2._rel_cmp``.  ``alternates`` lists the other optimum of a
+    tied branch, and ``branch`` names the branch, e.g.
+    ``"p1<p2,gamma1=gamma2"``.
     """
     from harvestsched import rate_matrix
 
@@ -126,7 +128,8 @@ def table_2x2(inst: Instance, powers):
         tau = split(T, 0.0, 0.0, T)
         alternates = (split(0.0, T, T, 0.0),)
         util = math.log2(r11 * r22) + 2 * math.log2(T)
-    return tau, alternates, util
+    branch = f"p1{'<=>'[pc + 1]}p2,gamma1{'<=>'[gc + 1]}gamma2"
+    return tau, alternates, util, branch
 
 
 def pairwise_deferral_limit(harvests, iters: int = 200000, tol: float = 1e-13):

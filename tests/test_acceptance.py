@@ -30,7 +30,7 @@ from harvestsched import (
 )
 from harvestsched.cli import HARVEST_PROFILES, builtin_scenario
 
-from conftest import BRANCH_CASES_2x2, grid_search_2x2, make_instance
+from conftest import BRANCH_CASES_2x2, grid_search_2x2, make_instance, table_2x2
 
 # harvests, path losses, reference powers, reference optimal split,
 # reference utility -- the reference two-user/two-slot benchmark set
@@ -89,9 +89,9 @@ def test_01_benchmark_2x2_reproduction():
         assert causal
         np.testing.assert_allclose(canon.powers_p, p_ref, atol=1e-3)
         assert score(inst, sched).utility_u == pytest.approx(u_ref, abs=1e-3)
-        case = optimal_2x2(inst, np.array(p_ref))
-        np.testing.assert_allclose(case.tau_star, tau_ref, atol=1e-3)
-        assert case.utility_star == pytest.approx(u_ref, abs=1e-3)
+        tau = optimal_2x2(inst, np.array(p_ref))
+        np.testing.assert_allclose(tau, tau_ref, atol=1e-3)
+        assert score(inst, Schedule(p_ref, tau)).utility_u == pytest.approx(u_ref, abs=1e-3)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"\nACCEPTANCE 1 PASS: 9/9 benchmark rows reproduced in {elapsed:.2f}s")
@@ -104,13 +104,13 @@ def test_02_oracle_branches_and_grid_cross_check():
     seen = set()
     for harvests, losses, powers in BRANCH_CASES_2x2:
         inst = make_instance(harvests, losses)
-        case = optimal_2x2(inst, powers)
-        seen.add(case.branch)
-        res = kkt_residual_time(inst, powers, case.tau_star)
-        assert res.certified(1e-12), (case.branch, res.max_residual)
-        for alt in case.alternates:
+        _, alternates, _, branch = table_2x2(inst, powers)
+        seen.add(branch)
+        res = kkt_residual_time(inst, powers, optimal_2x2(inst, powers))
+        assert res.certified(1e-12), (branch, res.max_residual)
+        for alt in alternates:
             res = kkt_residual_time(inst, powers, alt)
-            assert res.certified(1e-12), (case.branch, res.max_residual)
+            assert res.certified(1e-12), (branch, res.max_residual)
     assert len(seen) == 7
 
     rng = np.random.default_rng(1009)
@@ -120,8 +120,8 @@ def test_02_oracle_branches_and_grid_cross_check():
         p1 = rng.uniform(0.01, harvests[0] / 10.0)
         p2 = rng.uniform(0.01, (harvests.sum() - 10.0 * p1) / 10.0)
         powers = np.array([p1, max(p2, 0.01)])
-        case = optimal_2x2(inst, powers)
-        assert case.utility_star >= grid_search_2x2(inst, powers) - 1e-3
+        tau = optimal_2x2(inst, powers)
+        assert score(inst, Schedule(powers, tau)).utility_u >= grid_search_2x2(inst, powers) - 1e-3
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"\nACCEPTANCE 2 PASS: 7 branches certified, 200 grid cross-checks in {elapsed:.1f}s")

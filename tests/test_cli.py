@@ -198,6 +198,24 @@ class TestRunCompare:
         assert kkt_residual_time(inst, sched.powers_p, sched.shares_tau).max_residual <= tol
         assert kkt_residual_power(inst, sched.shares_tau, sched.powers_p).max_residual <= tol
 
+    @pytest.mark.parametrize("frame", [
+        "PATHLOSS_DB 1 60\n",                 # a 59 dB spread
+        "PATHLOSS_DB 0 80\n",                 # an 80 dB spread from a unit-gain user
+        "PATHLOSS_DB 19 22 25\nEPSILON 1e-14\n",
+    ])
+    def test_bcd_certifies_on_wide_spreads_and_tiny_epsilon(self, frame):
+        scen = parse_scenario("HARVESTS 10 20 30 40\n" + frame)
+        records = compare(scen)
+        rec = records[-1]
+        assert (rec.algorithm, rec.status, rec.warnings) == ("bcd", "ok", ())
+        inst, sched, tol = scen.instance, rec.schedule, scen.config.tol_kkt
+        assert not check_feasibility(inst, sched)
+        assert kkt_residual_time(inst, sched.powers_p, sched.shares_tau).max_residual <= tol
+        assert kkt_residual_power(inst, sched.shares_tau, sched.powers_p).max_residual <= tol
+        for other in records[:-1]:
+            if other.report is not None and other.report.feasible:
+                assert rec.report.utility_u >= other.report.utility_u - 1e-6, other.algorithm
+
     @pytest.mark.parametrize("users", [9, 12])
     def test_bcd_row_when_baseline_starves_a_user(self, users):
         # with N > K sg-tdma leaves a user without time, so bcd starts from
@@ -339,6 +357,32 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("average") == 8
+
+    def test_sweep_needs_no_scenario(self, capsys):
+        def rows(argv):
+            assert main(argv + ["--users", "2..3", "--case", "moderate", "--out", "csv"]) == 0
+            return [line.rsplit(",", 1)[0] for line in capsys.readouterr().out.splitlines()]
+
+        assert rows(["sweep"]) == rows(["sweep", "--scenario", "regular"])
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--users", "2"],
+        ["run", "--alg", "bcd", "--users", "2"],
+    ])
+    def test_run_and_compare_require_scenario(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--users", "3"],
+        ["compare", "--case", "moderate"],
+        ["run", "--alg", "oracle2x2", "--users", "2"],
+    ])
+    def test_bench2x2_rejects_case_and_users(self, argv, capsys):
+        assert main(argv + ["--scenario", "bench2x2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_bench_batch_emits_row_per_combination(self, capsys):
         code = main(["compare", "--scenario", "bench2x2", "--out", "csv"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from harvestsched import Schedule, kkt_residual_time, optimal_2x2, score
+from harvestsched import Schedule, kkt_residual_time, optimal_2x2, rate_matrix, score
 from harvestsched.convex import InfeasiblePointError
 
 from conftest import BRANCH_CASES_2x2, grid_search_2x2, make_instance, table_2x2
@@ -19,45 +19,62 @@ def random_2x2(rng):
     return inst, np.array([p1, max(p2, 0.01)])
 
 
+def gammas(inst, p):
+    """Each user's rate-improvement ratio R_n2 / R_n1."""
+    R = rate_matrix(inst, p)
+    return R[:, 1] / R[:, 0]
+
+
+def utility(inst, p, tau):
+    return score(inst, Schedule(p, tau)).utility_u
+
+
 class TestOptimal2x2:
     def test_reference_row_low_then_high(self, row1_instance):
-        case = optimal_2x2(row1_instance, [0.05, 5.0])
-        assert case.power_relation == "p1<p2"
-        assert case.branch.endswith("gamma1<gamma2")
-        assert case.gamma[0] == pytest.approx(8.517, abs=1e-3)
-        assert case.gamma[1] == pytest.approx(12.703, abs=2e-3)
-        np.testing.assert_allclose(
-            case.tau_star, [[10.0, 4.4129], [0.0, 5.5871]], atol=1e-4
-        )
-        assert case.utility_star == pytest.approx(29.8094, abs=1e-3)
-        # closed form agrees with direct scoring of its own split
-        rep = score(row1_instance, Schedule([0.05, 5.0], case.tau_star))
-        assert rep.utility_u == pytest.approx(case.utility_star, rel=1e-12)
+        p = [0.05, 5.0]
+        tau = optimal_2x2(row1_instance, p)
+        g = gammas(row1_instance, p)
+        assert g[0] < g[1]
+        assert g[0] == pytest.approx(8.517, abs=1e-3)
+        assert g[1] == pytest.approx(12.703, abs=2e-3)
+        np.testing.assert_allclose(tau, [[10.0, 4.4129], [0.0, 5.5871]], atol=1e-4)
+        assert utility(row1_instance, p, tau) == pytest.approx(29.8094, abs=1e-3)
+        # the table's closed-form utility agrees with direct scoring of the split
+        *_, table_utility, branch = table_2x2(row1_instance, p)
+        assert branch == "p1<p2,gamma1<gamma2"
+        assert utility(row1_instance, p, tau) == pytest.approx(table_utility, rel=1e-12)
 
     def test_reference_row_high_then_low(self):
         inst = make_instance([50.0, 0.5], [19.0, 22.0])
-        case = optimal_2x2(inst, [2.2993, 2.7507])
-        np.testing.assert_allclose(
-            case.tau_star, [[10.0, 0.2431], [0.0, 9.7569]], atol=1e-4
-        )
-        assert case.utility_star == pytest.approx(30.9401, abs=1e-3)
+        p = [2.2993, 2.7507]
+        tau = optimal_2x2(inst, p)
+        np.testing.assert_allclose(tau, [[10.0, 0.2431], [0.0, 9.7569]], atol=1e-4)
+        assert utility(inst, p, tau) == pytest.approx(30.9401, abs=1e-3)
 
     def test_equal_powers_opposite_corners(self):
         inst = make_instance([20.0, 20.0], [19.0, 22.0])
-        case = optimal_2x2(inst, [2.0, 2.0])
-        assert case.power_relation == "p1=p2"
-        assert case.gamma[0] == pytest.approx(1.0)
-        assert case.gamma[1] == pytest.approx(1.0)
-        np.testing.assert_allclose(case.tau_star, [[10.0, 0.0], [0.0, 10.0]])
-        assert len(case.alternates) == 1
-        np.testing.assert_allclose(case.alternates[0], [[0.0, 10.0], [10.0, 0.0]])
+        p = [2.0, 2.0]
+        tau = optimal_2x2(inst, p)
+        np.testing.assert_allclose(gammas(inst, p), 1.0)
+        np.testing.assert_allclose(tau, [[10.0, 0.0], [0.0, 10.0]])
+        # the opposite corners are the tie's other optimum
+        _, alternates, _, branch = table_2x2(inst, p)
+        assert branch.startswith("p1=p2")
+        assert len(alternates) == 1
+        np.testing.assert_allclose(alternates[0], [[0.0, 10.0], [10.0, 0.0]])
+        assert utility(inst, p, alternates[0]) == pytest.approx(utility(inst, p, tau))
         T = inst.slot_length_t
-        from harvestsched import rate_matrix
-
-        r = rate_matrix(inst, [2.0, 2.0])
-        assert case.utility_star == pytest.approx(
+        r = rate_matrix(inst, p)
+        assert utility(inst, p, tau) == pytest.approx(
             math.log2(r[0, 0] * r[1, 1]) + 2 * math.log2(T)
         )
+
+    def test_returns_read_only_split_a_schedule_keeps(self, row1_instance):
+        p = [0.05, 5.0]
+        tau = optimal_2x2(row1_instance, p)
+        assert tau.dtype == np.float64 and tau.shape == (2, 2)
+        assert not tau.flags.writeable and tau.flags.owndata
+        assert Schedule(p, tau).shares_tau is tau
 
     def test_rejects_zero_power_and_bad_shape(self, row1_instance):
         with pytest.raises(ValueError):
@@ -74,14 +91,13 @@ class TestOptimal2x2:
             inst, p = random_2x2(rng)
             if abs(p[0] - p[1]) < 1e-9:
                 continue
-            case = optimal_2x2(inst, p)
-            tau = case.tau_star
+            tau = optimal_2x2(inst, p)
             weak, strong = (0, 1) if p[0] < p[1] else (1, 0)
             weak_col = tau[:, weak]
             assert (weak_col > 0).sum() == 1
             owner = int(np.argmax(weak_col))
             excluded = 1 - owner
-            g = case.gamma
+            g = gammas(inst, p)
             if abs(g[0] - g[1]) > 1e-9 * max(g):
                 assert np.all(tau[:, strong] > 0)
                 # weak slot before strong goes to the smaller ratio, after to the larger
@@ -95,21 +111,23 @@ class TestOptimal2x2:
         rng = np.random.default_rng(103)
         for _ in range(40):
             inst, p = random_2x2(rng)
-            case = optimal_2x2(inst, p)
-            assert case.utility_star >= grid_search_2x2(inst, p) - 1e-3
+            tau = optimal_2x2(inst, p)
+            assert utility(inst, p, tau) >= grid_search_2x2(inst, p) - 1e-3
 
     def test_gamma_regime_tracks_power_order(self):
         rng = np.random.default_rng(109)
         for _ in range(200):
             inst, p = random_2x2(rng)
-            case = optimal_2x2(inst, p)
-            g = np.array(case.gamma)
-            if case.power_relation == "p1<p2":
+            g = gammas(inst, p)
+            relation = table_2x2(inst, p)[3].split(",")[0]
+            if relation == "p1<p2":
                 assert np.all(g > 1.0)
-            elif case.power_relation == "p1>p2":
+            elif relation == "p1>p2":
                 assert np.all(g < 1.0)
             else:
                 np.testing.assert_allclose(g, 1.0)
+                T = inst.slot_length_t
+                assert np.array_equal(optimal_2x2(inst, p), [[T, 0.0], [0.0, T]])
 
     def test_equal_powers_force_equal_gammas(self):
         # powers equal within _EQ_REL keep the gammas equal within _EQ_REL,
@@ -119,7 +137,9 @@ class TestOptimal2x2:
             inst, p = random_2x2(rng)
             delta = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-16, -12)
             p[1] = p[0] * (1.0 + delta)
-            assert optimal_2x2(inst, p).branch == "p1=p2,gamma1=gamma2"
+            assert table_2x2(inst, p)[3] == "p1=p2,gamma1=gamma2"
+            T = inst.slot_length_t
+            assert np.array_equal(optimal_2x2(inst, p), [[T, 0.0], [0.0, T]])
 
     def test_matches_table(self):
         # the one rule against the paper's nine-branch table: on every branch
@@ -141,14 +161,11 @@ class TestOptimal2x2:
             cases.append((inst, p))
         branches = set()
         for inst, p in cases:
-            case = optimal_2x2(inst, p)
-            tau, alternates, utility = table_2x2(inst, p)
-            branches.add(case.branch)
-            assert np.array_equal(case.tau_star, tau), case.branch
-            assert len(case.alternates) == len(alternates), case.branch
-            for got, want in zip(case.alternates, alternates):
-                assert np.array_equal(got, want), case.branch
-            assert abs(case.utility_star - utility) <= 1e-13, case.branch
+            got = optimal_2x2(inst, p)
+            tau, _, table_utility, branch = table_2x2(inst, p)
+            branches.add(branch)
+            assert np.array_equal(got, tau), branch
+            assert abs(utility(inst, p, got) - table_utility) <= 1e-13, branch
         assert len(branches) == 7
 
     def test_branch_continuity_at_equal_ratios(self):
@@ -156,16 +173,15 @@ class TestOptimal2x2:
         # both sides, branch utilities meet the equal-ratio value
         inst_eq = make_instance([30.0, 30.0], [19.0, 19.0])
         p = [1.0, 2.5]
-        case_eq = optimal_2x2(inst_eq, p)
+        u_eq = utility(inst_eq, p, optimal_2x2(inst_eq, p))
         for delta in (1e-9, -1e-9):
             inst_near = make_instance([30.0, 30.0], [19.0, 19.0 + delta])
-            case_near = optimal_2x2(inst_near, p)
-            assert case_near.utility_star == pytest.approx(case_eq.utility_star, abs=1e-6)
-        # both listed optima of the equal branch score identically
-        rep_a = score(inst_eq, Schedule(p, case_eq.tau_star))
-        rep_b = score(inst_eq, Schedule(p, case_eq.alternates[0]))
-        assert rep_a.utility_u == pytest.approx(rep_b.utility_u, abs=1e-9)
-        assert rep_a.utility_u == pytest.approx(case_eq.utility_star, abs=1e-9)
+            u_near = utility(inst_near, p, optimal_2x2(inst_near, p))
+            assert u_near == pytest.approx(u_eq, abs=1e-6)
+        # both optima of the equal branch score identically, at the table's value
+        _, alternates, table_utility, _ = table_2x2(inst_eq, p)
+        assert utility(inst_eq, p, alternates[0]) == pytest.approx(u_eq, abs=1e-9)
+        assert u_eq == pytest.approx(table_utility, abs=1e-9)
 
 
 class TestKktCheck2x2:
@@ -175,10 +191,9 @@ class TestKktCheck2x2:
         rng = np.random.default_rng(107)
         for _ in range(200):
             inst, p = random_2x2(rng)
-            case = optimal_2x2(inst, p)
-            res = kkt_residual_time(inst, p, case.tau_star)
+            res = kkt_residual_time(inst, p, optimal_2x2(inst, p))
             assert res.certified(1e-12), res.max_residual
-            for alt in case.alternates:
+            for alt in table_2x2(inst, p)[1]:
                 assert kkt_residual_time(inst, p, alt).certified(1e-12)
 
     def test_even_split_fails(self, row1_instance):
