@@ -20,7 +20,7 @@ import numpy as np
 from .convex import SolverConfig, bcd
 from .heuristics import pronto, ptf, sg_tdma
 from .model import Instance, Schedule, ScoreReport, check_feasibility, improvement_pct, score
-from .oracle2x2 import optimal_2x2
+from .oracle2x2 import _check_frame, optimal_2x2
 from .structure import staircase_powers
 
 DEFAULT_BANDWIDTH_HZ = 1000.0
@@ -201,6 +201,8 @@ def _run_algorithm(inst: Instance, algorithm: str, cfg: SolverConfig, min_share:
     if algorithm == "pronto":
         return pronto(inst), ()
     if algorithm in ("bcd", "oracle2x2"):
+        if algorithm == "oracle2x2":
+            _check_frame(inst)  # before bcd, which would solve in vain
         if check_feasibility(inst, start):  # sg-tdma starves a user when N > K
             shares = np.full((inst.n_users, inst.n_slots), inst.slot_length_t / inst.n_users)
             start = Schedule(staircase_powers(inst), shares)

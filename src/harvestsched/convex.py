@@ -46,6 +46,11 @@ first such stall at an uncertified point instead tightens ``tol_kkt``
 a hundredfold for the rest of the run.  The next round, the finishing
 round, continues each block from its last call's final centre, two barrier
 stages deeper, and the run stops at its next stall or certificate.
+
+The alternation converges only linearly.  Once two consecutive round ends
+share one active face (the live shares and the binding budgets), the next
+round opens with Newton steps on that face in both blocks' variables at
+once (Bertsekas, SIAM J. Control Optim. 1982); see :func:`_face_step`.
 """
 from __future__ import annotations
 
@@ -73,12 +78,18 @@ _BOUNDARY_FRAC = 0.995
 #: Barrier weight of the stage whose centre a block call returns as its
 #: restart point, so the block's next call skips the stages above it.
 #: Against 1e-2, restarting at 1e-3 and 1e-4 cut traced ``paper_sweep``
-#: Newton solves by 17 % and 31 %.  Deeper stages save more, but perfbench
-#: keeps every pass, so its ``peak_rss_mb`` grows by about 0.31 MB per
-#: ``paper_sweep`` and 1.17 MB per ``long_horizon`` pass: a ``wall_s`` cut
-#: above about 38 % and 21 % fits enough extra passes to break that
-#: metric's 10 % bound.
+#: Newton solves by 17 % and 31 %.  Deeper stages save more per round, but
+#: perfbench keeps every pass, so its ``peak_rss_mb`` grows with the pass
+#: count: by about 0.43 MB per ``paper_sweep`` pass at 336 rounds a pass
+#: (47.1 MB at 33 passes, 58.3 MB at 58) and 1.17 MB per ``long_horizon``
+#: pass.  A per-round speed-up above about 20 % fits enough extra passes to
+#: break that metric's 10 % bound; fewer rounds also keep less per pass.
 _RESTART_SIGMA = 1e-4
+#: The active face of a round-end point: shares above ``_FACE_SHARE * T``
+#: are live, and a free slot's cumulative budget binds when its slack is
+#: within ``_FACE_BUDGET`` times the total harvest (see :func:`_face_step`).
+_FACE_SHARE = 1e-4
+_FACE_BUDGET = 1e-6
 
 
 class NonconvergenceError(RuntimeError):
@@ -521,6 +532,98 @@ def _certify(certifier, inst: Instance, *point) -> float:
         return math.inf
 
 
+def _active_face(inst: Instance, sched: Schedule):
+    """``(live, binding)``: the live shares, and the free slots' binding budgets."""
+    slack = inst.cum_harvests - inst.slot_length_t * np.cumsum(sched.powers_p)
+    return (
+        sched.shares_tau > _FACE_SHARE * inst.slot_length_t,
+        (slack <= _FACE_BUDGET * inst.total_harvest) & (inst.cum_harvests > 0),
+    )
+
+
+def _face_step(inst: Instance, sched: Schedule, utility: float, face):
+    """At most six Newton steps from ``sched`` on its active ``face``.
+
+    The variables are the free slots' powers and the live users' shares of
+    the shared slots, those with two or more live users.  Dead shares and
+    the zero-harvest prefix's powers are zero, a slot with one live user
+    gives it all of T, and the prefix's shares stay as they are.  Each step
+    solves one dense KKT system for ``sum_n log A_n`` with the shared slots'
+    time sums and the binding budgets as equalities (a budget's slack is its
+    residual), and is taken only along negative curvature.  It is halved
+    until the point is nonnegative, feasible and strictly above the best
+    utility so far, which starts at ``utility``.  Returns ``(schedule,
+    utility)`` of the last accepted point, its arrays read-only so the
+    :class:`Schedule` keeps them, or ``None`` when no step was accepted.
+    """
+    live, binding = face
+    N, K = live.shape
+    T = inst.slot_length_t
+    L = inst.norm_gains[:, None]
+    t0 = int(np.argmax(inst.cum_harvests > 0))
+    shared = live.sum(axis=0) > 1
+    single = ~shared
+    shared[:t0] = single[:t0] = False
+    tau = np.where(live, sched.shares_tau, 0.0)
+    tau[:, :t0] = sched.shares_tau[:, :t0]  # no power there, so no bits
+    tau[:, single] = T * live[:, single]
+    tau[:, shared] *= T / tau[:, shared].sum(axis=0)
+    p = np.where(np.arange(K) < t0, 0.0, sched.powers_p)
+    ns, ts = np.nonzero(live & shared)
+    m = K - t0
+    js = m + np.arange(ns.size)  # the shares' columns follow the powers'
+    n = m + ns.size
+    slots, budgets = np.flatnonzero(shared), np.flatnonzero(binding)
+    rows = np.zeros((slots.size + budgets.size, n))
+    rows[np.searchsorted(slots, ts), js] = 1.0
+    rows[slots.size:, :m] = T * (np.arange(t0, K) <= budgets[:, None])
+    best = None
+    for _ in range(6):
+        rates = rate_matrix(inst, p)
+        bend = L / (1.0 + L * p)  # -r'' / r' of each user's rate in each slot
+        d_rate = inst.bandwidth_w_hz / LN2 * bend
+        A = (tau * rates).sum(axis=1)
+        if A.min() <= 0:
+            break
+        G = np.zeros((n, N))  # the gradient of each A_n, over A_n
+        G[:m] = (tau * d_rate / A[:, None])[:, t0:].T
+        G[js, ns] = rates[ns, ts] / A[ns]
+        H = -G @ G.T
+        H[np.arange(m), np.arange(m)] -= (G[:m] * bend[:, t0:].T).sum(axis=1)
+        cross = d_rate[ns, ts] / A[ns]
+        H[ts - t0, js] += cross
+        H[js, ts - t0] += cross
+        residual = np.concatenate([
+            T - tau[:, slots].sum(axis=0),
+            inst.cum_harvests[budgets] - T * np.cumsum(p)[budgets],
+        ])
+        kkt = np.block([[H, rows.T], [rows, np.zeros((rows.shape[0],) * 2)]])
+        try:
+            d = np.linalg.solve(kkt, np.concatenate([-G.sum(axis=1), residual]))[:n]
+        except np.linalg.LinAlgError:
+            break
+        if not d @ H @ d < 0:
+            break
+        alpha = 1.0
+        while alpha > 1e-3:
+            cand_p, cand_tau = p.copy(), tau.copy()
+            cand_p[t0:] += alpha * d[:m]
+            cand_tau[ns, ts] += alpha * d[m:]
+            if cand_p.min() >= 0 and cand_tau.min() >= 0:
+                cand_p.setflags(write=False)
+                cand_tau.setflags(write=False)
+                cand = Schedule(cand_p, cand_tau)
+                report = score(inst, cand)
+                if report.feasible and report.utility_u > utility:
+                    p, tau, utility = cand_p, cand_tau, report.utility_u
+                    best = cand, utility
+                    break
+            alpha *= 0.5
+        else:
+            break
+    return best
+
+
 def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     """Alternate the time and power blocks from a feasible start.
 
@@ -533,8 +636,11 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     The first such stall at an uncertified point does not end the run: the
     blocks' ``tol_kkt`` falls a hundredfold, the next round (the finishing
     round) starts each block at its last call's final centre and weight, and
-    the run ends on its next stall or certificate.  Subsolver nonconvergence
-    is downgraded to a trace warning and the best iterate is used.
+    the run ends on its next stall or certificate.  Once two consecutive
+    round ends share their active face (:func:`_active_face`), the next
+    round opens with :func:`_face_step`, whose point becomes the iterate
+    when it strictly raises utility.  Subsolver nonconvergence is
+    downgraded to a trace warning and the best iterate is used.
 
     Returns ``(schedule, BcdTrace)``; the schedule is ``trace.schedules[-1]``,
     and ``trace.schedules[0]`` is ``init`` itself unless an entry needed
@@ -556,7 +662,12 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     residuals: list[tuple[float, float]] = []
     time_restart = power_restart = None  # each block's last restart point
     block_cfg = cfg
+    face = settled = None  # the last round end's face; whether the one before had it
     for rounds in range(1, cfg.max_bcd_rounds + 1):
+        if settled:
+            stepped = _face_step(inst, sched, utility, face)
+            if stepped is not None:
+                sched, utility = stepped
         try:
             tau_new, time_restart = solve_time(inst, sched.powers_p, block_cfg, time_restart)
         except NonconvergenceError as err:
@@ -588,6 +699,8 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
         converged = certified or stalled
         if certified or (stalled and block_cfg is not cfg):
             break
+        last, face = face, _active_face(inst, sched)
+        settled = last is not None and all(map(np.array_equal, face, last))
         if stalled:  # the finishing round: two barrier stages deeper
             block_cfg = replace(cfg, tol_kkt=cfg.tol_kkt / 100.0)
             sigma = cfg.tol_kkt * LN2 / 100.0  # _barrier_newton's last weight

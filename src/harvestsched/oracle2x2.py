@@ -28,11 +28,15 @@ def _rel_cmp(a: float, b: float) -> int:
     return -1 if a < b else 1
 
 
+def _check_frame(inst: Instance) -> None:
+    if inst.n_users != 2 or inst.n_slots != 2:
+        raise ValueError(f"needs exactly 2 users and 2 slots, got {inst.n_users}x{inst.n_slots}")
+
+
 def optimal_2x2(inst: Instance, powers) -> np.ndarray:
     """Optimal time shares, users by slots, for fixed positive powers on a
     2x2 frame; read-only, so a ``Schedule`` keeps them without a copy."""
-    if inst.n_users != 2 or inst.n_slots != 2:
-        raise ValueError(f"needs exactly 2 users and 2 slots, got {inst.n_users}x{inst.n_slots}")
+    _check_frame(inst)
     p = np.asarray(powers, dtype=float)
     if p.shape != (2,):
         raise ValueError(f"expected two powers, got shape {p.shape}")

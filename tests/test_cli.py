@@ -11,6 +11,7 @@ from harvestsched import (
     kkt_residual_time,
     score,
 )
+from harvestsched import cli, convex
 from harvestsched.cli import (
     CSV_HEADER,
     HARVEST_PROFILES,
@@ -27,6 +28,7 @@ from harvestsched.cli import (
     run,
     sweep_users,
 )
+from harvestsched.convex import NonconvergenceError
 from harvestsched.structure import staircase_powers
 
 from conftest import oracle_utility
@@ -135,6 +137,15 @@ class TestRunCompare:
         rec = run(scen, "oracle2x2")
         assert rec.status == "ok"
         assert rec.report.utility_u == pytest.approx(29.8094, abs=1e-3)
+
+    def test_oracle_rejects_other_frames_before_bcd(self, monkeypatch):
+        def no_bcd(*args):
+            raise AssertionError("bcd ran on a frame the oracle rejects")
+
+        monkeypatch.setattr(cli, "bcd", no_bcd)
+        rec = run(builtin_scenario("regular", "moderate", 3), "oracle2x2")
+        assert rec.status == "error: needs exactly 2 users and 2 slots, got 3x12"
+        assert rec.schedule is None and rec.report is None
 
     @pytest.mark.parametrize("command", ["compare", "run"])
     def test_one_baseline_per_scenario(self, command, monkeypatch):
@@ -357,6 +368,42 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("average") == 8
+
+    def test_sweep_drops_the_average_of_an_algorithm_without_results(self, capsys):
+        # 13 users on at most 12 slots: pronto fails on all three profiles
+        assert main(["sweep", "--users", "13..13", "--case", "moderate", "--out", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 3 * 4 + 3
+        pronto = [row for row in rows if row[3] == "pronto"]
+        assert [row[0] for row in pronto] == list(HARVEST_PROFILES)
+        assert all(field == "nan" for row in pronto for field in row[4:9])
+        averages = [row[3] for row in rows if row[:3] == ["average", "moderate", "13"]]
+        assert averages == ["sg-tdma", "ptf", "bcd"]
+
+    def test_solver_warning_exits_2(self, monkeypatch, capsys):
+        def nonconverging(*args, real=convex.solve_power):
+            powers, _ = real(*args)
+            raise NonconvergenceError("power block exceeded the inner iteration budget",
+                                      best=powers)
+
+        records = []
+
+        def recorded(*args, real=cli.compare):
+            out = real(*args)
+            records.extend(out)
+            return out
+
+        monkeypatch.setattr(convex, "solve_power", nonconverging)
+        monkeypatch.setattr(cli, "compare", recorded)
+        argv = ["compare", "--scenario", "bursty", "--users", "2", "--case", "moderate",
+                "--out", "csv"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[3] for line in lines[1:]] == ["sg-tdma", "ptf", "pronto", "bcd"]
+        assert [bool(r.warnings) for r in records] == [False, False, False, True]
+        assert records[-1].status == "ok"
+        assert all("power block exceeded" in w for w in records[-1].warnings)
 
     def test_sweep_needs_no_scenario(self, capsys):
         def rows(argv):

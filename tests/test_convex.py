@@ -835,7 +835,9 @@ class TestBcd:
         assert np.array_equal(a.shares_tau, b.shares_tau)
 
     def test_keeps_each_iterate_once(self):
-        inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
+        # regular/moderate/2: its rounds after the face step reject both
+        # half-steps (the 10x3 bursty frame's face steps leave none to reject)
+        inst = builtin_scenario("regular", "moderate", 2).instance
         init = sg_tdma(inst)
         sched, trace = bcd(inst, init)
         assert trace.schedules[0] is init
@@ -853,7 +855,7 @@ class TestBcd:
 
     def test_accepted_half_steps_keep_the_solver_arrays(self, monkeypatch):
         inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
-        outputs = []
+        outputs, face_points = [], []
         for block, solver in BLOCK_SOLVERS.items():
             def recorded(*args, solver=solver):
                 out = solver(*args)
@@ -861,14 +863,26 @@ class TestBcd:
                 return out
 
             monkeypatch.setattr(convex, f"solve_{block}", recorded)
+
+        def face_step(*args, real=convex._face_step):
+            out = real(*args)
+            if out is not None:
+                face_points.append(out[0])
+            return out
+
+        monkeypatch.setattr(convex, "_face_step", face_step)
         sched, trace = bcd(inst, sg_tdma(inst))
+        outputs += [a for point in face_points for a in (point.powers_p, point.shares_tau)]
         moved = 0
         for before, after in zip(trace.schedules, trace.schedules[1:]):
             for new, old in ((after.powers_p, before.powers_p), (after.shares_tau, before.shares_tau)):
-                if new is not old:  # an accepted half-step: the solver's own array
+                if new is not old:  # a block solver's or the face step's own array
                     assert any(new is out for out in outputs)
                     moved += 1
         assert moved > 0
+        assert face_points  # this frame's round ends settle on a face
+        assert any(sched.powers_p is p.powers_p or sched.shares_tau is p.shares_tau
+                   for p in face_points)
 
     def test_each_block_restarts_from_its_last_call(self, monkeypatch):
         calls = {"time": [], "power": []}
@@ -879,9 +893,11 @@ class TestBcd:
                 return out
 
             monkeypatch.setattr(convex, f"solve_{block}", recorded)
+        # without the face step both frames stall uncertified and then run
+        # a finishing round; with it they certify before one
+        monkeypatch.setattr(convex, "_face_step", lambda *args: None)
         cfg = SolverConfig()
         sigma_final = cfg.tol_kkt * LN2 / 100
-        # both frames stall uncertified and then run a finishing round
         harvests = [20, 100, 1, 1, 1, 70, 100, 1, 10, 40]
         for prefix in (0, 2):
             inst = make_instance([0] * prefix + harvests, [19.0, 22.0, 25.0])
@@ -1052,6 +1068,107 @@ class TestBcd:
         assert worst <= cfg.tol_kkt or worst < residual
         assert trace.utilities[-1] >= utility
         assert check_feasibility(inst, sched) == []
+
+    def test_clamps_the_inits_sub_tolerance_negatives(self):
+        inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
+        base = sg_tdma(inst)
+        powers = np.where(base.powers_p == base.powers_p.max(), base.powers_p, -1e-13)
+        tau = np.where(base.shares_tau > 0, base.shares_tau, -1e-13)
+        init = Schedule(powers, tau)
+        assert check_feasibility(inst, init) == []  # within TOL_ZERO
+        cfg = SolverConfig()
+        sched, trace = bcd(inst, init, cfg)
+        start = trace.schedules[0]
+        assert start is not init
+        assert start.powers_p.min() == 0.0 and start.shares_tau.min() == 0.0
+        np.testing.assert_array_equal(start.powers_p, np.maximum(powers, 0.0))
+        np.testing.assert_array_equal(start.shares_tau, np.maximum(tau, 0.0))
+        assert check_feasibility(inst, sched) == []
+        assert trace.converged and max(trace.residuals[-1]) <= cfg.tol_kkt
+
+    # sg-tdma starts that took 12, 25, 14 and 12 rounds without the face
+    # step: the rounds each may take with it, and its utility without it
+    FACE_RUNS = {
+        "regular-7": (4, 109.53940052924632),
+        "very-bursty-8": (12, 112.28153326391784),
+        "bursty-6": (7, 93.50435946673116),
+        "frame16x12": (12, 184.6240383752244),
+    }
+
+    @pytest.mark.parametrize("name", list(FACE_RUNS))
+    def test_face_step_certifies_in_fewer_rounds(self, name):
+        if name == "frame16x12":
+            inst = random_frame([2026, 16, 12], 16, 12)
+        else:
+            profile, users = name.rsplit("-", 1)
+            inst = builtin_scenario(profile, "moderate", int(users)).instance
+        cfg = SolverConfig()
+        sched, trace = bcd(inst, sg_tdma(inst), cfg)
+        rounds, utility = self.FACE_RUNS[name]
+        assert max(trace.residuals[-1]) <= cfg.tol_kkt
+        assert trace.rounds_used <= rounds
+        assert trace.utilities[-1] >= utility
+        assert check_feasibility(inst, sched) == []
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_face_steps_are_feasible_ascents_from_a_settled_face(self, data):
+        k = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 8))
+        prefix = data.draw(st.integers(0, k - 1))
+        harvest = st.one_of(st.floats(0.1, 100.0), st.sampled_from([5.0, 40.0]))  # ties
+        harvests = [0.0] * prefix + data.draw(
+            st.lists(harvest, min_size=k - prefix, max_size=k - prefix)
+        )
+        losses = data.draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
+        inst = make_instance(harvests, losses)
+        start = sg_tdma(inst)
+        if check_feasibility(inst, start):  # the CLI's start when N > K
+            start = Schedule(staircase_powers(inst), np.full((n, k), SLOT_S / n))
+        T = inst.slot_length_t
+
+        def face(sched):
+            slack = inst.cum_harvests - T * np.cumsum(sched.powers_p)
+            binding = (slack <= 1e-6 * inst.total_harvest) & (inst.cum_harvests > 0)
+            return sched.shares_tau > 1e-4 * T, binding
+
+        rounds_done, steps = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            def solve_time(*args, real=convex.solve_time):
+                rounds_done.append(1)
+                return real(*args)
+
+            def face_step(inst, sched, utility, active, real=convex._face_step):
+                out = real(inst, sched, utility, active)
+                steps.append((len(rounds_done), sched, utility, active, out))
+                return out
+
+            mp.setattr(convex, "solve_time", solve_time)
+            mp.setattr(convex, "_face_step", face_step)
+            sched, trace = bcd(inst, start)
+
+        assert check_feasibility(inst, sched) == []
+        assert np.all(np.diff(trace.utilities) >= 0)
+        # a step opens round r + 1 exactly when round ends r - 1 and r share a face
+        settled = [
+            r for r in range(2, trace.rounds_used)
+            if all(map(np.array_equal, face(trace.schedules[r]), face(trace.schedules[r - 1])))
+        ]
+        assert [r for r, *_ in steps] == settled
+        for r, sched_in, utility_in, active, out in steps:
+            assert sched_in is trace.schedules[r]
+            assert utility_in == trace.utilities[r]
+            assert all(map(np.array_equal, active, face(sched_in)))
+            if out is None:
+                continue
+            point, utility = out
+            assert check_feasibility(inst, point) == []
+            assert point.powers_p.min() >= 0 and point.shares_tau.min() >= 0
+            assert utility == score(inst, point).utility_u > utility_in
+            assert trace.utilities[r + 1] >= utility  # bcd kept it, or a better half-step
+        accepted = sum(out is not None for *_, out in steps)
+        event("no face step" if not steps else "face step accepted" if accepted else "face step rejected")
+        event("N > K" if n > k else "N <= K")
 
 
 class TestNonconvergence:
