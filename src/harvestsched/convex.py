@@ -47,10 +47,12 @@ a hundredfold for the rest of the run.  The next round, the finishing
 round, continues each block from its last call's final centre, two barrier
 stages deeper, and the run stops at its next stall or certificate.
 
-The alternation converges only linearly.  Once two consecutive round ends
-share one active face (the live shares and the binding budgets), the next
-round opens with Newton steps on that face in both blocks' variables at
-once (Bertsekas, SIAM J. Control Optim. 1982); see :func:`_face_step`.
+The alternation converges only linearly.  When a round's block output
+keeps the previous round's active face (the live shares and the binding
+budgets), the round ends with Newton steps on that face in both blocks'
+variables at once (Bertsekas, SIAM J. Control Optim. 1982), before its
+certificate; see :func:`_face_step`.  The driver compares utilities with
+:func:`_utility`, ``score``'s utility without the rest of its report.
 """
 from __future__ import annotations
 
@@ -65,7 +67,6 @@ from .model import (
     Schedule,
     check_feasibility,
     rate_matrix,
-    score,
     _check_dims,
     _power_violations,
     _share_violations,
@@ -532,6 +533,13 @@ def _certify(certifier, inst: Instance, *point) -> float:
         return math.inf
 
 
+def _utility(inst: Instance, p: np.ndarray, tau: np.ndarray) -> float:
+    """``score(inst, Schedule(p, tau)).utility_u`` bit for bit, without the report."""
+    bits = np.maximum(tau, 0.0) * rate_matrix(inst, np.maximum(p, 0.0))
+    with np.errstate(divide="ignore"):
+        return float(np.log2(bits.sum(axis=1)).sum())
+
+
 def _active_face(inst: Instance, sched: Schedule):
     """``(live, binding)``: the live shares, and the free slots' binding budgets."""
     slack = inst.cum_harvests - inst.slot_length_t * np.cumsum(sched.powers_p)
@@ -551,8 +559,8 @@ def _face_step(inst: Instance, sched: Schedule, utility: float, face):
     solves one dense KKT system for ``sum_n log A_n`` with the shared slots'
     time sums and the binding budgets as equalities (a budget's slack is its
     residual), and is taken only along negative curvature.  It is halved
-    until the point is nonnegative, feasible and strictly above the best
-    utility so far, which starts at ``utility``.  Returns ``(schedule,
+    until the point is nonnegative, strictly above the best utility so far,
+    which starts at ``utility``, and feasible.  Returns ``(schedule,
     utility)`` of the last accepted point, its arrays read-only so the
     :class:`Schedule` keeps them, or ``None`` when no step was accepted.
     """
@@ -610,14 +618,15 @@ def _face_step(inst: Instance, sched: Schedule, utility: float, face):
             cand_p[t0:] += alpha * d[:m]
             cand_tau[ns, ts] += alpha * d[m:]
             if cand_p.min() >= 0 and cand_tau.min() >= 0:
-                cand_p.setflags(write=False)
-                cand_tau.setflags(write=False)
-                cand = Schedule(cand_p, cand_tau)
-                report = score(inst, cand)
-                if report.feasible and report.utility_u > utility:
-                    p, tau, utility = cand_p, cand_tau, report.utility_u
-                    best = cand, utility
-                    break
+                u_cand = _utility(inst, cand_p, cand_tau)
+                if u_cand > utility:  # only a gain pays for the feasibility check
+                    cand_p.setflags(write=False)
+                    cand_tau.setflags(write=False)
+                    cand = Schedule(cand_p, cand_tau)
+                    if not check_feasibility(inst, cand):
+                        p, tau, utility = cand_p, cand_tau, u_cand
+                        best = cand, utility
+                        break
             alpha *= 0.5
         else:
             break
@@ -636,11 +645,13 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     The first such stall at an uncertified point does not end the run: the
     blocks' ``tol_kkt`` falls a hundredfold, the next round (the finishing
     round) starts each block at its last call's final centre and weight, and
-    the run ends on its next stall or certificate.  Once two consecutive
-    round ends share their active face (:func:`_active_face`), the next
-    round opens with :func:`_face_step`, whose point becomes the iterate
-    when it strictly raises utility.  Subsolver nonconvergence is
-    downgraded to a trace warning and the best iterate is used.
+    the run ends on its next stall or certificate.  When a round's block
+    output keeps the previous round's active face (:func:`_active_face`),
+    the round ends with :func:`_face_step`, whose point becomes the iterate
+    when it strictly raises utility, before the round certifies; so
+    ``trace.schedules[r]`` and ``trace.utilities[r]`` include that step.
+    Subsolver nonconvergence is downgraded to a trace warning and the best
+    iterate is used.
 
     Returns ``(schedule, BcdTrace)``; the schedule is ``trace.schedules[-1]``,
     and ``trace.schedules[0]`` is ``init`` itself unless an entry needed
@@ -655,39 +666,38 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     if np.any(init.powers_p < 0) or np.any(init.shares_tau < 0):
         init = Schedule(np.maximum(init.powers_p, 0.0), np.maximum(init.shares_tau, 0.0))
     sched = init  # the iterate; a rejected half-step keeps its block's array
-    utility = score(inst, sched).utility_u
+    utility = _utility(inst, sched.powers_p, sched.shares_tau)
     utilities = [utility]
     schedules = [sched]
     warnings: list[str] = []
     residuals: list[tuple[float, float]] = []
     time_restart = power_restart = None  # each block's last restart point
     block_cfg = cfg
-    face = settled = None  # the last round end's face; whether the one before had it
+    face = None  # the active face of the last round's block output
     for rounds in range(1, cfg.max_bcd_rounds + 1):
-        if settled:
-            stepped = _face_step(inst, sched, utility, face)
-            if stepped is not None:
-                sched, utility = stepped
         try:
             tau_new, time_restart = solve_time(inst, sched.powers_p, block_cfg, time_restart)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} time block: {err}")
             tau_new = err.best
-        cand = Schedule(sched.powers_p, tau_new)
-        u_new = score(inst, cand).utility_u
+        u_new = _utility(inst, sched.powers_p, tau_new)
         if u_new > utility:
-            sched, utility = cand, u_new
+            sched, utility = Schedule(sched.powers_p, tau_new), u_new
 
         try:
             p_new, power_restart = solve_power(inst, sched.shares_tau, block_cfg, power_restart)
         except NonconvergenceError as err:
             warnings.append(f"round {rounds} power block: {err}")
             p_new = err.best
-        cand = Schedule(p_new, sched.shares_tau)
-        u_new = score(inst, cand).utility_u
+        u_new = _utility(inst, p_new, sched.shares_tau)
         if u_new > utility:
-            sched, utility = cand, u_new
+            sched, utility = Schedule(p_new, sched.shares_tau), u_new
 
+        last, face = face, _active_face(inst, sched)
+        if last is not None and all(map(np.array_equal, face, last)):
+            stepped = _face_step(inst, sched, utility, face)
+            if stepped is not None:
+                sched, utility = stepped
         residuals.append((
             _certify(kkt_residual_time, inst, sched.powers_p, sched.shares_tau),
             _certify(kkt_residual_power, inst, sched.shares_tau, sched.powers_p),
@@ -699,8 +709,6 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
         converged = certified or stalled
         if certified or (stalled and block_cfg is not cfg):
             break
-        last, face = face, _active_face(inst, sched)
-        settled = last is not None and all(map(np.array_equal, face, last))
         if stalled:  # the finishing round: two barrier stages deeper
             block_cfg = replace(cfg, tol_kkt=cfg.tol_kkt / 100.0)
             sigma = cfg.tol_kkt * LN2 / 100.0  # _barrier_newton's last weight

@@ -20,7 +20,7 @@ from harvestsched import (
     solve_time,
     sort_schedule_nondecreasing,
 )
-from harvestsched import convex
+from harvestsched import convex, model
 from harvestsched.convex import (
     DegenerateShareError,
     InfeasiblePointError,
@@ -835,9 +835,9 @@ class TestBcd:
         assert np.array_equal(a.shares_tau, b.shares_tau)
 
     def test_keeps_each_iterate_once(self):
-        # regular/moderate/2: its rounds after the face step reject both
-        # half-steps (the 10x3 bursty frame's face steps leave none to reject)
-        inst = builtin_scenario("regular", "moderate", 2).instance
+        # bench2x2[0.5,50]@20.5: its one round rejects the power half-step
+        # (the moderate-sweep frames now end on their face step instead)
+        inst = next(s.instance for s in bench_2x2_scenarios() if s.label == "bench2x2[0.5,50]@20.5")
         init = sg_tdma(inst)
         sched, trace = bcd(inst, init)
         assert trace.schedules[0] is init
@@ -1132,43 +1132,132 @@ class TestBcd:
             binding = (slack <= 1e-6 * inst.total_harvest) & (inst.cum_harvests > 0)
             return sched.shares_tau > 1e-4 * T, binding
 
-        rounds_done, steps = [], []
+        power_calls, steps = [], []
         with pytest.MonkeyPatch.context() as mp:
-            def solve_time(*args, real=convex.solve_time):
-                rounds_done.append(1)
-                return real(*args)
+            def solve_power(inst, shares, *args, real=convex.solve_power):
+                try:
+                    out = real(inst, shares, *args)
+                except NonconvergenceError as err:
+                    power_calls.append((shares, err.best))
+                    raise
+                power_calls.append((shares, out[0]))
+                return out
 
             def face_step(inst, sched, utility, active, real=convex._face_step):
                 out = real(inst, sched, utility, active)
-                steps.append((len(rounds_done), sched, utility, active, out))
+                steps.append((len(power_calls), sched, utility, active, out))
                 return out
 
-            mp.setattr(convex, "solve_time", solve_time)
+            mp.setattr(convex, "solve_power", solve_power)
             mp.setattr(convex, "_face_step", face_step)
             sched, trace = bcd(inst, start)
 
         assert check_feasibility(inst, sched) == []
         assert np.all(np.diff(trace.utilities) >= 0)
-        # a step opens round r + 1 exactly when round ends r - 1 and r share a face
+        # each round's block output: the power half-step's shares, with its
+        # powers where they raised utility over the last round end's powers
+        outputs = []
+        for r, (shares, p_out) in enumerate(power_calls, start=1):
+            kept = trace.schedules[r - 1].powers_p
+            gain = score(inst, Schedule(p_out, shares)).utility_u > score(inst, Schedule(kept, shares)).utility_u
+            outputs.append(Schedule(p_out if gain else kept, shares))
+        assert len(outputs) == trace.rounds_used
+        # a step closes round r exactly when the block outputs of rounds
+        # r - 1 and r share a face
         settled = [
-            r for r in range(2, trace.rounds_used)
-            if all(map(np.array_equal, face(trace.schedules[r]), face(trace.schedules[r - 1])))
+            r for r in range(2, trace.rounds_used + 1)
+            if all(map(np.array_equal, face(outputs[r - 1]), face(outputs[r - 2])))
         ]
         assert [r for r, *_ in steps] == settled
+        stepped = {r: out for r, *_, out in steps}
+        for r, output in enumerate(outputs, start=1):
+            if stepped.get(r) is None:  # the round ends on its block output
+                assert np.array_equal(trace.schedules[r].powers_p, output.powers_p)
+                assert trace.schedules[r].shares_tau is output.shares_tau
         for r, sched_in, utility_in, active, out in steps:
-            assert sched_in is trace.schedules[r]
-            assert utility_in == trace.utilities[r]
+            assert sched_in.shares_tau is outputs[r - 1].shares_tau
+            assert np.array_equal(sched_in.powers_p, outputs[r - 1].powers_p)
+            assert utility_in == score(inst, sched_in).utility_u
             assert all(map(np.array_equal, active, face(sched_in)))
             if out is None:
+                assert trace.schedules[r] is sched_in and trace.utilities[r] == utility_in
                 continue
             point, utility = out
             assert check_feasibility(inst, point) == []
             assert point.powers_p.min() >= 0 and point.shares_tau.min() >= 0
             assert utility == score(inst, point).utility_u > utility_in
-            assert trace.utilities[r + 1] >= utility  # bcd kept it, or a better half-step
+            # the step's point is the round's end, certified as it stands
+            assert trace.schedules[r] is point and trace.utilities[r] == utility
         accepted = sum(out is not None for *_, out in steps)
         event("no face step" if not steps else "face step accepted" if accepted else "face step rejected")
         event("N > K" if n > k else "N <= K")
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_utility_matches_score_bit_for_bit(self, data):
+        k = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 8))
+        prefix = data.draw(st.integers(0, k - 1))
+        harvests = [0.0] * prefix + data.draw(
+            st.lists(st.floats(0.1, 100.0), min_size=k - prefix, max_size=k - prefix)
+        )
+        losses = data.draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
+        inst = make_instance(harvests, losses)
+        # entries within TOL_ZERO below zero are clamped, as score clamps them
+        entry = st.floats(-1e-13, 10.0)
+        p = np.array(data.draw(st.lists(entry, min_size=k, max_size=k)))
+        tau = np.array(data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n)))
+        starved = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        if starved is not None:
+            tau[starved] = 0.0  # a user without bits: utility -inf
+        got = convex._utility(inst, p, tau)
+        want = score(inst, Schedule(p, tau)).utility_u
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        event("-inf" if want == -math.inf else "finite")
+
+    def test_builds_no_score_report(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bcd built a score report")
+
+        monkeypatch.setattr(model, "score", refuse)
+        monkeypatch.setattr(convex, "score", refuse, raising=False)
+        steps = []
+
+        def face_step(*args, real=convex._face_step):
+            steps.append(real(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(convex, "_face_step", face_step)
+        # a settled face, a zero-harvest prefix, and N > K from the CLI's start
+        for harvests, losses in (
+            ([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0]),
+            ([0, 0, 20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0]),
+            ([30.0, 60.0], [15.0, 20.0, 25.0]),
+        ):
+            inst = make_instance(harvests, losses)
+            start = sg_tdma(inst)
+            if check_feasibility(inst, start):
+                n, k = inst.n_users, inst.n_slots
+                start = Schedule(staircase_powers(inst), np.full((n, k), SLOT_S / n))
+            _, trace = bcd(inst, start)
+            assert trace.converged
+        assert any(out is not None for out in steps)  # face-step halvings ran too
+
+    def test_paper_frames_certify_within_their_rounds(self):
+        # the 21 moderate-sweep and 9 bench2x2 frames from sg-tdma: 156 rounds
+        # when the face step opened the round after a settled one
+        frames = [
+            builtin_scenario(profile, "moderate", users).instance
+            for profile in HARVEST_PROFILES for users in range(2, 9)
+        ] + [s.instance for s in bench_2x2_scenarios()]
+        cfg = SolverConfig()
+        rounds = 0
+        for inst in frames:
+            _, trace = bcd(inst, sg_tdma(inst), cfg)
+            assert max(trace.residuals[-1]) <= cfg.tol_kkt
+            rounds += trace.rounds_used
+        assert len(frames) == 30
+        assert rounds <= 129
 
 
 class TestNonconvergence:
