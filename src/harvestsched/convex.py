@@ -43,9 +43,9 @@ gains less than ``tol_utility``.
 A block call ends within about ``m * tol_kkt / 100`` of its optimum in
 utility, for m barrier terms, which can exceed ``tol_utility``; so the
 first such stall at an uncertified point instead tightens ``tol_kkt``
-a hundredfold for the rest of the run.  The next round, the finishing
-round, continues each block from its last call's final centre, two barrier
-stages deeper, and the run stops at its next stall or certificate.
+a hundredfold for the rest of the run, each block still starting from its
+previous call's restart point, and the run stops at its next stall or
+certificate.
 
 The alternation converges only linearly.  When a round's block output
 keeps the previous round's active face (the live shares and the binding
@@ -79,12 +79,9 @@ _BOUNDARY_FRAC = 0.995
 #: Barrier weight of the stage whose centre a block call returns as its
 #: restart point, so the block's next call skips the stages above it.
 #: Against 1e-2, restarting at 1e-3 and 1e-4 cut traced ``paper_sweep``
-#: Newton solves by 17 % and 31 %.  Deeper stages save more per round, but
-#: perfbench keeps every pass, so its ``peak_rss_mb`` grows with the pass
-#: count: by about 0.43 MB per ``paper_sweep`` pass at 336 rounds a pass
-#: (47.1 MB at 33 passes, 58.3 MB at 58) and 1.17 MB per ``long_horizon``
-#: pass.  A per-round speed-up above about 20 % fits enough extra passes to
-#: break that metric's 10 % bound; fewer rounds also keep less per pass.
+#: Newton solves by 17 % and 31 %.  Restarting at the last centre cut them
+#: from 13,343 to 8,938 and ``wall_s`` by about 31 %, but raised perfbench's
+#: ``peak_rss_mb`` 18-19 %, as it keeps every pass, and took more rounds.
 _RESTART_SIGMA = 1e-4
 #: The active face of a round-end point: shares above ``_FACE_SHARE * T``
 #: are live, and a free slot's cumulative budget binds when its slack is
@@ -419,14 +416,19 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
 # ---------------------------------------------------------------------------
 # power block: fixed shares, optimize powers under cumulative energy budgets
 
+def _first_free_slot(inst: Instance) -> int:
+    """The first slot whose cumulative harvest exceeds ``tol_energy``; the rest are free."""
+    return int(np.argmax(inst.cum_harvests > inst.tol_energy))
+
+
 def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, restart=None):
     """Optimal powers for fixed shares.
 
     Returns ``(powers_p, restart)``, ``powers_p`` read-only as in
     :func:`solve_time`; :func:`kkt_residual_power` certifies it.  Slots
-    whose cumulative harvest is still zero are pinned to zero power; the
-    rest are solved by barrier Newton, so the unique optimum of this
-    strictly concave block is reached regardless of the starting point.  The
+    before :func:`_first_free_slot` are pinned to zero power; the rest are
+    solved by barrier Newton, so the unique optimum of this strictly
+    concave block is reached regardless of the starting point.  The
     path starts at nine tenths of the staircase powers, or at ``restart``
     from an earlier call on this instance (see :func:`_barrier_newton`).
     """
@@ -440,7 +442,7 @@ def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, res
     L = inst.norm_gains
     W = inst.bandwidth_w_hz
 
-    t0 = int(np.argmax(C > 0))  # zero cumulative harvest forms a prefix
+    t0 = _first_free_slot(inst)
     free = slice(t0, K)
     if np.any(tau[:, free].sum(axis=1) <= 0):
         raise DegenerateShareError(
@@ -543,10 +545,9 @@ def _utility(inst: Instance, p: np.ndarray, tau: np.ndarray) -> float:
 def _active_face(inst: Instance, sched: Schedule):
     """``(live, binding)``: the live shares, and the free slots' binding budgets."""
     slack = inst.cum_harvests - inst.slot_length_t * np.cumsum(sched.powers_p)
-    return (
-        sched.shares_tau > _FACE_SHARE * inst.slot_length_t,
-        (slack <= _FACE_BUDGET * inst.total_harvest) & (inst.cum_harvests > 0),
-    )
+    binding = slack <= _FACE_BUDGET * inst.total_harvest
+    binding[:_first_free_slot(inst)] = False
+    return sched.shares_tau > _FACE_SHARE * inst.slot_length_t, binding
 
 
 def _face_step(inst: Instance, sched: Schedule, utility: float, face):
@@ -554,8 +555,8 @@ def _face_step(inst: Instance, sched: Schedule, utility: float, face):
 
     The variables are the free slots' powers and the live users' shares of
     the shared slots, those with two or more live users.  Dead shares and
-    the zero-harvest prefix's powers are zero, a slot with one live user
-    gives it all of T, and the prefix's shares stay as they are.  Each step
+    the powers before :func:`_first_free_slot` are zero, a slot with one
+    live user gives it all of T, and the prefix's shares stay as they are.  Each step
     solves one dense KKT system for ``sum_n log A_n`` with the shared slots'
     time sums and the binding budgets as equalities (a budget's slack is its
     residual), and is taken only along negative curvature.  It is halved
@@ -568,7 +569,7 @@ def _face_step(inst: Instance, sched: Schedule, utility: float, face):
     N, K = live.shape
     T = inst.slot_length_t
     L = inst.norm_gains[:, None]
-    t0 = int(np.argmax(inst.cum_harvests > 0))
+    t0 = _first_free_slot(inst)
     shared = live.sum(axis=0) > 1
     single = ~shared
     shared[:t0] = single[:t0] = False
@@ -643,13 +644,13 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
     within ``tol_kkt`` (a block-stationary point; Tseng, JOTA 2001) or a round
     gains less than ``tol_utility``, and otherwise ends on the round budget.
     The first such stall at an uncertified point does not end the run: the
-    blocks' ``tol_kkt`` falls a hundredfold, the next round (the finishing
-    round) starts each block at its last call's final centre and weight, and
-    the run ends on its next stall or certificate.  When a round's block
-    output keeps the previous round's active face (:func:`_active_face`),
-    the round ends with :func:`_face_step`, whose point becomes the iterate
-    when it strictly raises utility, before the round certifies; so
-    ``trace.schedules[r]`` and ``trace.utilities[r]`` include that step.
+    blocks' ``tol_kkt`` falls a hundredfold for the rest of it, each block
+    still starting from its own last restart point, and the run ends on its
+    next stall or certificate.  When a round's block output keeps the
+    previous round's active face (:func:`_active_face`), the round ends with
+    :func:`_face_step`, whose point becomes the iterate when it strictly
+    raises utility, before the round certifies; so ``trace.schedules[r]``
+    and ``trace.utilities[r]`` include that step.
     Subsolver nonconvergence is downgraded to a trace warning and the best
     iterate is used.
 
@@ -711,11 +712,6 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
             break
         if stalled:  # the finishing round: two barrier stages deeper
             block_cfg = replace(cfg, tol_kkt=cfg.tol_kkt / 100.0)
-            sigma = cfg.tol_kkt * LN2 / 100.0  # _barrier_newton's last weight
-            # each block restarts at its last centre unless its call returned
-            # no restart; the power block's path omits its zero prefix
-            time_restart = time_restart and (tau_new, sigma)
-            power_restart = power_restart and (p_new[p_new.size - power_restart[0].size:], sigma)
 
     residual_rows = np.array(residuals)
     residual_rows.setflags(write=False)

@@ -343,6 +343,16 @@ class TestMain:
         assert code == 0
         assert out.startswith(CSV_HEADER)
 
+    def test_compare_on_a_tiny_leading_harvest(self, tmp_path, capsys):
+        # slot 0 holds 1e-300 J, within the energy tolerance: bcd pins it to
+        # zero power and raises no overflow warning
+        f = tmp_path / "scen.txt"
+        f.write_text("HARVESTS 1e-300 5\nPATHLOSS_DB 19 22\n")
+        assert main(["compare", "--scenario", str(f), "--out", "table"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        (bcd_row,) = [row for row in rows if row.split()[2] == "bcd"]  # no case column
+        assert bcd_row.endswith("  ok")
+
     def test_starved_rows_name_their_users(self, capsys):
         # N > K: sg-tdma and ptf leave user 8 without bits, bcd serves all
         argv = ["compare", "--scenario", "very-bursty", "--users", "9", "--case", "moderate"]

@@ -897,7 +897,6 @@ class TestBcd:
         # a finishing round; with it they certify before one
         monkeypatch.setattr(convex, "_face_step", lambda *args: None)
         cfg = SolverConfig()
-        sigma_final = cfg.tol_kkt * LN2 / 100
         harvests = [20, 100, 1, 1, 1, 70, 100, 1, 10, 40]
         for prefix in (0, 2):
             inst = make_instance([0] * prefix + harvests, [19.0, 22.0, 25.0])
@@ -910,21 +909,16 @@ class TestBcd:
                 tols = [tol for tol, _, _ in seen]
                 finish = tols.index(cfg.tol_kkt / 100)  # the finishing round
                 assert tols == [cfg.tol_kkt] * finish + [cfg.tol_kkt / 100] * (len(seen) - finish)
-                for i, ((_, _, out), (_, passed, _)) in enumerate(zip(seen, seen[1:]), start=1):
-                    if i == finish:  # the last call's final centre, at its weight
-                        last = out[0]
-                        free = last[..., last.shape[-1] - out[1][0].shape[-1]:]
-                        assert np.shares_memory(passed[0], last) and np.array_equal(passed[0], free)
-                        assert passed[1] == sigma_final
-                    else:
-                        assert passed is out[1]
-                # a call from above _RESTART_SIGMA returns the centre there;
-                # the deeper calls return the centre of their first stage
-                for i, (_, _, out) in enumerate(seen):
-                    expected = convex._RESTART_SIGMA if i < finish else sigma_final
-                    assert out[1][1] == pytest.approx(expected, rel=1e-9)
+                # every later call, the finishing round's included, starts
+                # from the restart its block's previous call returned
+                for (_, _, out), (_, passed, _) in zip(seen, seen[1:]):
+                    assert passed is out[1]
+                # each call returns its centre at _RESTART_SIGMA
+                for _, _, out in seen:
+                    assert out[1][1] == pytest.approx(convex._RESTART_SIGMA, rel=1e-9)
             # the power path omits the zero-power prefix
-            assert calls["power"][finish][1][0].size == inst.n_slots - prefix
+            for _, _, out in calls["power"]:
+                assert out[1][0].size == inst.n_slots - prefix
 
     def test_infeasible_init_rejected(self, row1_instance):
         bad = Schedule([5.0, 0.05], [[10.0, 0.0], [0.0, 10.0]])
@@ -1069,6 +1063,30 @@ class TestBcd:
         assert trace.utilities[-1] >= utility
         assert check_feasibility(inst, sched) == []
 
+    # leading harvests within the energy tolerance: the power block and the
+    # face step pin their slots to zero power, as after a zero-harvest prefix,
+    # where a barrier on a 1e-300 J budget would overflow
+    @pytest.mark.parametrize("harvests", [[1e-300, 5], [0, 1e-300, 5], [1e-160, 5]])
+    def test_tiny_leading_harvests_certify(self, harvests):
+        inst = make_instance(harvests, [19.0, 22.0])
+        cfg = SolverConfig()
+        sched, trace = bcd(inst, sg_tdma(inst), cfg)
+        assert check_feasibility(inst, sched) == []
+        assert max(trace.residuals[-1]) <= cfg.tol_kkt
+        assert not trace.warnings
+
+    def test_leading_harvest_within_tolerance_is_pinned(self):
+        # 2e-9 J is within tol_energy (1e-9 of 60.000000002 J), so slot 0
+        # carries no power; with slot 0 free, bcd took 7 rounds and ended
+        # 2.0e-8 lower
+        inst = make_instance([2e-9, 50, 10], [19.0, 22.0])
+        cfg = SolverConfig()
+        sched, trace = bcd(inst, sg_tdma(inst), cfg)
+        assert sched.powers_p[0] == 0.0
+        assert trace.rounds_used == 2
+        assert max(trace.residuals[-1]) <= cfg.tol_kkt
+        assert trace.utilities[-1] >= 31.088238733376556 + 1e-8
+
     def test_clamps_the_inits_sub_tolerance_negatives(self):
         inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
         base = sg_tdma(inst)
@@ -1117,7 +1135,9 @@ class TestBcd:
         n = data.draw(st.integers(1, 8))
         prefix = data.draw(st.integers(0, k - 1))
         harvest = st.one_of(st.floats(0.1, 100.0), st.sampled_from([5.0, 40.0]))  # ties
-        harvests = [0.0] * prefix + data.draw(
+        # a prefix slot within the energy tolerance is pinned like a zero one
+        tiny = st.sampled_from([0.0, 5e-324, 1e-300, 1e-160])
+        harvests = data.draw(st.lists(tiny, min_size=prefix, max_size=prefix)) + data.draw(
             st.lists(harvest, min_size=k - prefix, max_size=k - prefix)
         )
         losses = data.draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
@@ -1129,7 +1149,7 @@ class TestBcd:
 
         def face(sched):
             slack = inst.cum_harvests - T * np.cumsum(sched.powers_p)
-            binding = (slack <= 1e-6 * inst.total_harvest) & (inst.cum_harvests > 0)
+            binding = (slack <= 1e-6 * inst.total_harvest) & (inst.cum_harvests > inst.tol_energy)
             return sched.shares_tau > 1e-4 * T, binding
 
         power_calls, steps = [], []
