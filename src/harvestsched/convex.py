@@ -417,8 +417,10 @@ def kkt_residual_time(inst: Instance, powers_p, shares_tau) -> KktResidual:
 # power block: fixed shares, optimize powers under cumulative energy budgets
 
 def _first_free_slot(inst: Instance) -> int:
-    """The first slot whose cumulative harvest exceeds ``tol_energy``; the rest are free."""
-    return int(np.argmax(inst.cum_harvests > inst.tol_energy))
+    """The first slot whose cumulative harvest exceeds the total's rounding;
+    earlier ones, whose energy later budgets round away and whose barrier can
+    overflow (``1 / p**2`` at 1e-300 J), are pinned to zero power."""
+    return int(np.argmax(inst.cum_harvests > np.finfo(float).eps * inst.total_harvest))
 
 
 def solve_power(inst: Instance, shares_tau, cfg: SolverConfig | None = None, restart=None):
@@ -556,7 +558,7 @@ def _face_step(inst: Instance, sched: Schedule, utility: float, face):
     The variables are the free slots' powers and the live users' shares of
     the shared slots, those with two or more live users.  Dead shares and
     the powers before :func:`_first_free_slot` are zero, a slot with one
-    live user gives it all of T, and the prefix's shares stay as they are.  Each step
+    live user gives it all of T, and the prefix keeps its shares.  Each step
     solves one dense KKT system for ``sum_n log A_n`` with the shared slots'
     time sums and the binding budgets as equalities (a budget's slack is its
     residual), and is taken only along negative curvature.  It is halved
@@ -710,7 +712,7 @@ def bcd(inst: Instance, init: Schedule, cfg: SolverConfig | None = None):
         converged = certified or stalled
         if certified or (stalled and block_cfg is not cfg):
             break
-        if stalled:  # the finishing round: two barrier stages deeper
+        if stalled:  # the finishing round: a hundredfold tighter tol_kkt
             block_cfg = replace(cfg, tol_kkt=cfg.tol_kkt / 100.0)
 
     residual_rows = np.array(residuals)

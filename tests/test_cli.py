@@ -344,7 +344,7 @@ class TestMain:
         assert out.startswith(CSV_HEADER)
 
     def test_compare_on_a_tiny_leading_harvest(self, tmp_path, capsys):
-        # slot 0 holds 1e-300 J, within the energy tolerance: bcd pins it to
+        # slot 0 holds 1e-300 J, below the total's rounding: bcd pins it to
         # zero power and raises no overflow warning
         f = tmp_path / "scen.txt"
         f.write_text("HARVESTS 1e-300 5\nPATHLOSS_DB 19 22\n")
