@@ -9,15 +9,15 @@ users' bits and the slacks the barrier keeps positive at a point, and a
 Newton step whose barrier Hessian weight is an argument, with the rate at
 which each slack falls along it.  A block call starts from the restart
 point its previous call returned, a barrier centre at weight
-``_RESTART_SIGMA``, or cold at weight 1; its first stage runs at that
-weight.  Every later stage opens with a predictor step, whose Hessian keeps
-the last stage's weight, and every stage ends on the Newton decrement.  A
-block solver returns only its point and restart point; certificates are
-explicit KKT residuals whose multipliers are rebuilt from a point alone, so
-any ascent scheme could be swapped in behind the same contract.  Each
-solver checks its fixed input, and each certifier its point, with the
-checks of ``model.check_feasibility`` for that variable, and raises
-:class:`InfeasiblePointError` on any violation.
+``_RESTART_SIGMA``, or cold at weight ``_COLD_SIGMA``; its first stage runs
+at that weight.  Every later stage opens with a predictor step, whose
+Hessian keeps the last stage's weight, and every stage ends on the Newton
+decrement.  A block solver returns only its point and restart point;
+certificates are explicit KKT residuals whose multipliers are rebuilt from
+a point alone, so any ascent scheme could be swapped in behind the same
+contract.  Each solver checks its fixed input, and each certifier its
+point, with the checks of ``model.check_feasibility`` for that variable,
+and raises :class:`InfeasiblePointError` on any violation.
 
 On small frames numpy's per-call cost sets the time, so each Newton
 evaluation computes its pieces once: the interior test reads one minimum
@@ -83,6 +83,14 @@ _BOUNDARY_FRAC = 0.995
 #: from 13,343 to 8,938 and ``wall_s`` by about 31 %, but raised perfbench's
 #: ``peak_rss_mb`` 18-19 %, as it keeps every pass, and took more rounds.
 _RESTART_SIGMA = 1e-4
+#: Barrier weight of a cold call's first stage.  Most start points' mean
+#: complementarity already lies between 1e-3 and 5e-2, so stages at 1 and
+#: 0.1 pull the point inward only to push it back out (B&V 11.3.1).
+#: Against 1, it cut traced ``--seed 1`` block Newton solves from 13,343 to
+#: 12,773 on ``paper_sweep`` and from 21,106 to 19,207 on ``long_horizon``,
+#: with the same rounds.  1e-3 cut ``long_horizon`` pass time 18 % but
+#: raised ``peak_rss_mb`` 7.3 %; 1e-4 broke warm/cold agreement (4.6e-6).
+_COLD_SIGMA = 1e-2
 #: The active face of a round-end point: shares above ``_FACE_SHARE * T``
 #: are live, and a free slot's cumulative budget binds when its slack is
 #: within ``_FACE_BUDGET`` times the total harvest (see :func:`_face_step`).
@@ -239,16 +247,16 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
 
     The path starts at ``restart = (x_r, sigma_r)`` when ``x_r`` has ``x``'s
     shape and lies in the interior and ``sigma_r`` lies in [final weight,
-    1], and at ``x`` with the cold start's weight 1 otherwise; the first
-    stage runs at that weight.  Each stage ends once the slope of its own
-    Newton step (``h_sigma == sigma``), the squared Newton decrement, is at
-    most ``0.1 * sigma`` (B&V 9.5.1); the weight then falls tenfold until
-    the final weight ``tol_kkt * ln2 / 100``.  Every stage after the first
-    opens with one predictor step whose Hessian keeps the previous weight:
-    that is the primal-dual step with each bound's dual at the last centre,
-    ``sigma_prev / slack`` (B&V 11.7; Nocedal & Wright ch. 19), and it
-    carries a separable barrier term onto its new centre in one full step,
-    where the stage's own Hessian overshoots ninefold.
+    1], and at ``x`` with the cold start's weight ``_COLD_SIGMA`` otherwise;
+    the first stage runs at that weight.  Each stage ends once the slope of
+    its own Newton step (``h_sigma == sigma``), the squared Newton
+    decrement, is at most ``0.1 * sigma`` (B&V 9.5.1); the weight then falls
+    tenfold until the final weight ``tol_kkt * ln2 / 100``.  Every stage
+    after the first opens with one predictor step whose Hessian keeps the
+    previous weight: that is the primal-dual step with each bound's dual at
+    the last centre, ``sigma_prev / slack`` (B&V 11.7; Nocedal & Wright
+    ch. 19), and it carries a separable barrier term onto its new centre in
+    one full step, where the stage's own Hessian overshoots ninefold.
 
     Returns ``(x, restart)``: the last centre, and the centre and weight of
     the first stage at or below ``_RESTART_SIGMA`` (``None`` when the path
@@ -260,7 +268,7 @@ def _barrier_newton(x, cfg: SolverConfig, parts, newton, block: str, restart=Non
     """
 
     sigma_final = cfg.tol_kkt * LN2 / 100.0
-    starts = [(x, 1.0)]
+    starts = [(x, _COLD_SIGMA)]
     if (restart is not None and np.shape(restart[0]) == np.shape(x)
             and sigma_final <= restart[1] <= 1):
         starts.insert(0, restart)

@@ -253,8 +253,9 @@ def score(inst: Instance, sched: Schedule) -> ScoreReport:
     with np.errstate(divide="ignore"):
         utility = float(np.log2(per_user_bits).sum())
     total = float(per_user_bits.sum())
-    if total > 0.0:
-        jain = total * total / (inst.n_users * float(np.dot(per_user_bits, per_user_bits)))
+    if total > 0.0:  # on the bits over their largest, whose squares cannot all underflow
+        x = per_user_bits / per_user_bits.max()
+        jain = float(x.sum()) ** 2 / (inst.n_users * float(np.dot(x, x)))
     else:
         jain = math.nan
     violations = tuple(check_feasibility(inst, sched))

@@ -353,6 +353,19 @@ class TestMain:
         (bcd_row,) = [row for row in rows if row.split()[2] == "bcd"]  # no case column
         assert bcd_row.endswith("  ok")
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason="the power block's "
+                       "Newton step overflows on a tiny or huge total harvest")
+    @pytest.mark.parametrize("harvests", ["1e-160 2e-160", "1e300 1e300"])
+    def test_compare_on_an_extreme_total_harvest(self, harvests, tmp_path, capsys):
+        # M.T @ M overflows at 1e-160 J and h_sigma / p**2 at 1e300 J, and
+        # every warning is an error here
+        f = tmp_path / "scen.txt"
+        f.write_text(f"HARVESTS {harvests}\nPATHLOSS_DB 19 22\n")
+        assert main(["compare", "--scenario", str(f), "--out", "table"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        (bcd_row,) = [row for row in rows if row.split()[2] == "bcd"]
+        assert bcd_row.endswith("  ok")
+
     def test_starved_rows_name_their_users(self, capsys):
         # N > K: sg-tdma and ptf leave user 8 without bits, bcd serves all
         argv = ["compare", "--scenario", "very-bursty", "--users", "9", "--case", "moderate"]

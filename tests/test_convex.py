@@ -452,13 +452,14 @@ class TestPowerNewtonStep:
 
 
 class TestBarrierNewton:
-    # Newton solves per block call on the 8-user moderate frames, bounded
-    # between the counts without the stage-opening predictor (power 75/70/67,
-    # time 138/120/126) and with it (52/44/40, 116/94/84)
+    # Newton solves per cold block call on the 8-user moderate frames, at
+    # the counts with the first stage at _COLD_SIGMA (power 40/34/32, time
+    # 106/84/76); at weight 1 they were 52/44/40 and 116/94/84, and without
+    # the stage-opening predictor 75/70/67 and 138/120/126
     SOLVE_BOUNDS = {
-        "regular": {"power": 63, "time": 127},
-        "bursty": {"power": 57, "time": 107},
-        "very-bursty": {"power": 53, "time": 105},
+        "regular": {"power": 40, "time": 106},
+        "bursty": {"power": 34, "time": 84},
+        "very-bursty": {"power": 32, "time": 76},
     }
 
     @pytest.mark.parametrize("block", ["power", "time"])
@@ -470,13 +471,13 @@ class TestBarrierNewton:
         assert len(solves) <= self.SOLVE_BOUNDS[profile][block]
 
     # Newton solves of a block call at the perturbed input, restarted from
-    # the call at the unperturbed one, bounded between the restarted counts
-    # (power 39/31/29, time 98/96/82) and the cold counts at the same input
-    # (52/44/41, 126/120/106)
+    # the call at the unperturbed one, bounded midway between the restarted
+    # counts (power 18/23/17, time 78/78/66) and the cold counts at the same
+    # input, whose first stage runs at _COLD_SIGMA (43/35/35, 116/114/98)
     RESTART_SOLVE_BOUNDS = {
-        "regular": {"power": 45, "time": 112},
-        "bursty": {"power": 37, "time": 108},
-        "very-bursty": {"power": 35, "time": 94},
+        "regular": {"power": 30, "time": 97},
+        "bursty": {"power": 29, "time": 96},
+        "very-bursty": {"power": 26, "time": 82},
     }
 
     @pytest.mark.parametrize("block", ["power", "time"])
@@ -504,9 +505,13 @@ class TestBarrierNewton:
             return d, (-d,), float(grad @ d)
 
         cfg = SolverConfig()
-        x, restart = _barrier_newton(1.0 / c, cfg, lambda x: (np.exp(-c * x), (x,)), newton, "toy")
+        # a cold call opens at _COLD_SIGMA; start on that stage's centre
+        sigma_cold = convex._COLD_SIGMA
+        x, restart = _barrier_newton(
+            sigma_cold / c, cfg, lambda x: (np.exp(-c * x), (x,)), newton, "toy"
+        )
         sigmas = [sigma for _, sigma, h_sigma, _ in calls if h_sigma == sigma]
-        assert sigmas[0] == 1.0 and sigmas[-1] == cfg.tol_kkt * LN2 / 100.0
+        assert sigmas[0] == sigma_cold and sigmas[-1] == cfg.tol_kkt * LN2 / 100.0
         # each stage after the first: one predictor, then the stop test holds
         assert len(calls) == 2 * len(sigmas) - 1
         for prev, pred, centred in zip(calls[::2], calls[1::2], calls[2::2]):
@@ -516,8 +521,9 @@ class TestBarrierNewton:
             np.testing.assert_allclose(centred[0], centred[1] / c, rtol=1e-6)
         np.testing.assert_allclose(x, sigmas[-1] / c, rtol=1e-6)
         # the restart point is the centre of the first stage at or below
-        # _RESTART_SIGMA, a power of ten
-        stage = round(-math.log10(convex._RESTART_SIGMA))
+        # _RESTART_SIGMA, a power of ten below _COLD_SIGMA
+        stage = round(math.log10(sigma_cold / convex._RESTART_SIGMA))
+        assert stage > 0
         assert restart[1] == sigmas[stage] == pytest.approx(convex._RESTART_SIGMA, rel=1e-9)
         np.testing.assert_allclose(restart[0], restart[1] / c, rtol=1e-6)
 
@@ -1113,6 +1119,14 @@ class TestBcd:
         assert max(trace.residuals[-1]) <= SolverConfig().tol_kkt
         assert trace.utilities[-1] >= score(inst, sg_tdma(inst)).utility_u - 1e-6
 
+    @pytest.mark.xfail(strict=True, reason="bcd stalls uncertified after 10 rounds, "
+                       "time residual 1.7e-6, behind a small free leading harvest")
+    def test_certifies_behind_a_small_free_leading_harvest(self):
+        inst = make_instance([1e-6, 20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
+        assert convex._first_free_slot(inst) == 0
+        sched, trace = bcd(inst, sg_tdma(inst))
+        assert max(trace.residuals[-1]) <= SolverConfig().tol_kkt
+
     def test_clamps_the_inits_sub_tolerance_negatives(self):
         inst = make_instance([20, 100, 1, 1, 1, 70, 100, 1, 10, 40], [19.0, 22.0, 25.0])
         base = sg_tdma(inst)
@@ -1339,15 +1353,20 @@ class TestNonconvergence:
 
 
 @st.composite
-def block_problems(draw):
-    """A random instance with a feasible power vector and share matrix."""
+def block_problems(draw, tied=False):
+    """A random instance with a feasible power vector and share matrix;
+    ``tied`` lets later harvests equal the first nonzero one."""
     k = draw(st.integers(1, 12))
     n = draw(st.integers(1, 8))
     prefix = draw(st.integers(0, k - 1))
+    first = draw(st.floats(0.1, 100.0))
+    later = st.floats(0.0, 100.0)
+    if tied:
+        later = st.one_of(later, st.just(first))
     harvests = (
         [0.0] * prefix
-        + [draw(st.floats(0.1, 100.0))]
-        + draw(st.lists(st.floats(0.0, 100.0), min_size=k - prefix - 1, max_size=k - prefix - 1))
+        + [first]
+        + draw(st.lists(later, min_size=k - prefix - 1, max_size=k - prefix - 1))
     )
     losses = draw(st.lists(st.floats(1.0, 40.0), min_size=n, max_size=n))
     eps_frac = draw(st.floats(1e-12, 0.99))
@@ -1389,6 +1408,29 @@ class TestBlockProperties:
         res = kkt_residual_power(inst, shares, p)
         assert res.certified(1e-6), res
         assert check_feasibility(inst, Schedule(p, shares)) == []
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(block_problems(tied=True))
+    def test_cold_start_weight_matches_weight_one(self, problem):
+        # a cold call opens at _COLD_SIGMA; the same call forced to open at
+        # weight 1 from the same start certifies at the same utility (the
+        # points may differ along a flat face, so they are not compared)
+        inst, powers, shares = problem
+        cfg = SolverConfig()
+        T, n, k = inst.slot_length_t, inst.n_users, inst.n_slots
+        starts = {
+            "time": (powers, np.full((n, k), T / n)),
+            "power": (shares, 0.9 * staircase_powers(inst)[convex._first_free_slot(inst):]),
+        }
+        for block, (fixed, start) in starts.items():
+            points = [BLOCK_SOLVERS[block](inst, fixed, cfg, restart)[0]
+                      for restart in (None, (start, 1.0))]
+            utilities = []
+            for x in points:
+                assert certify(inst, block, fixed, x).certified(cfg.tol_kkt), block
+                sched = Schedule(fixed, x) if block == "time" else Schedule(x, fixed)
+                utilities.append(score(inst, sched).utility_u)
+            assert abs(utilities[0] - utilities[1]) <= 1e-9 * abs(utilities[1]), block
 
 
 def perturbed(inst, powers, shares, constraint, factor):

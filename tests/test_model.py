@@ -145,6 +145,15 @@ class TestScore:
         rep = score(inst, sched)
         assert math.isnan(rep.jain_fi)
 
+    def test_jain_of_bits_whose_squares_underflow(self):
+        # one user's bits are positive but their square underflows to zero,
+        # so an index from the unscaled squares would divide by zero
+        inst = Instance(1000, 1e-6, 10, [1, 1], [1, 1])
+        rep = score(inst, Schedule([0.0, 1.0], [[0.0, 0.0], [0.0, 2.225073858507e-311]]))
+        assert rep.total_bits > 0 and float(np.dot(rep.per_user_bits, rep.per_user_bits)) == 0
+        assert rep.jain_fi == pytest.approx(0.5, rel=1e-12)
+        assert rep.utility_u == -math.inf
+
     def test_utility_additivity(self):
         rng = np.random.default_rng(7)
         losses = [13.0, 19.0, 25.0]
